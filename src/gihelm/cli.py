@@ -26,7 +26,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -257,7 +257,13 @@ def _build_problem(cfg, config_dir):
     mode = _field_of(cfg, "config", "self_term_mode", str,
                      default="cell_averaged", choices=SELF_TERM_MODES)
     source = _build_source(cfg)
-    kernel = build_kernel(medium.grid, medium.k0, mode=mode)
+    grid = medium.grid
+    if not grid.contains(*source.position):
+        raise ConfigError(
+            f"'source.position' {list(source.position)} lies outside the grid "
+            f"(z in [{grid.z0}, {grid.z0 + (grid.nz - 1) * grid.dz}], "
+            f"x in [{grid.x0}, {grid.x0 + (grid.nx - 1) * grid.dx}])")
+    kernel = build_kernel(grid, medium.k0, mode=mode)
     return medium, source, kernel, input_paths
 
 
@@ -267,13 +273,10 @@ _SOLVE_KEYS = {
     "landweber": ("method", "max_iters", "tol", "eta", "power_iters", "seed"),
 }
 
-_TRAIN_KEYS = (
-    "mode", "epochs", "width", "k_bands", "n_hidden", "seed",
-    "lr0", "lr_decay_ratio", "adam_beta1", "adam_beta2", "adam_eps",
-    "lambda_max", "lambda_mid", "lambda_steepness",
-    "n_x", "n_pool", "n_raw", "alpha", "eps_fraction",
-    "pde_residual_scale", "eval_every", "early_stop_nmse", "reference",
-)
+_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+_TRAIN_KEYS = (*_TRAIN_FIELDS, "reference")
+# keys whose JSON value is not simply of the field's type
+_TRAIN_SPECIAL = ("pde_residual_scale", "early_stop_nmse")
 
 
 def _build_train_config(cfg, medium, seed_override=None, epochs_override=None):
@@ -283,18 +286,11 @@ def _build_train_config(cfg, medium, seed_override=None, epochs_override=None):
     reference = _field_of(sec, "train", "reference", str,
                           default="direct", choices=("direct", "none"))
 
-    kwargs = {}
-    for key, kind in (
-        ("mode", str), ("epochs", int), ("width", int), ("k_bands", int),
-        ("n_hidden", int), ("seed", int), ("lr0", float),
-        ("lr_decay_ratio", float), ("adam_beta1", float), ("adam_beta2", float),
-        ("adam_eps", float), ("lambda_max", float), ("lambda_mid", float),
-        ("lambda_steepness", float), ("n_x", int), ("n_pool", int),
-        ("n_raw", int), ("alpha", float), ("eps_fraction", float),
-        ("eval_every", int),
-    ):
-        if key in sec:
-            kwargs[key] = _field_of(sec, "train", key, kind)
+    kwargs = {
+        key: _field_of(sec, "train", key, kind)
+        for key, kind in _TRAIN_FIELDS.items()
+        if key in sec and key not in _TRAIN_SPECIAL
+    }
 
     if "early_stop_nmse" in sec and sec["early_stop_nmse"] is not None:
         kwargs["early_stop_nmse"] = _field_of(sec, "train", "early_stop_nmse", float)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldFormatError, ResourceLimitError
-from .special import fused_sincos
 
 NTK_POINT_CAP = 2000
 
@@ -94,8 +93,8 @@ def encode_with_derivs(points, k_bands):
 
 
 def _sincos(p):
-    s, c = fused_sincos(p.ravel())
-    return s.reshape(p.shape), c.reshape(p.shape)
+    """sin(p) and cos(p) of a layer's pre-activation, both needed per layer."""
+    return np.sin(p), np.cos(p)
 
 
 class NeuralField:

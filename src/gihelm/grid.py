@@ -242,6 +242,8 @@ def gaussian_lens_medium(grid, v0, omega, contrast, sigma, center=None):
                   grid.x0 + 0.5 * (grid.nx - 1) * grid.dx)
     if abs(contrast) >= 1.0:
         raise ValueError("lens contrast must satisfy |contrast| < 1")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"lens sigma must be finite and > 0, got {sigma}")
     zz, xx = np.meshgrid(grid.z_coords(), grid.x_coords(), indexing="ij")
     bump = np.exp(-((zz - center[0]) ** 2 + (xx - center[1]) ** 2) / (2.0 * sigma**2))
     return Medium(grid, v0 * (1.0 + contrast * bump), v0, omega)

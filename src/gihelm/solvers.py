@@ -92,11 +92,14 @@ def solve_direct(view, cap=DENSE_CAP):
     return ComplexField(view.grid, x.reshape(b.shape))
 
 
-def born_iterate(view, max_iters=200, tol=1e-12):
-    """Fixed-point iteration u <- A u + b from u = 0 (Neumann series).
+def _iterate(view, residual, advance, max_iters, tol):
+    """Loop shared by the fixed-point solvers, from u = 0.
 
-    Stops on |r| <= tol |b|, on max_iters, or declares divergence after
-    DIVERGENCE_HYSTERESIS consecutive steps with |r| > 1e6 |b|.
+    residual(u) returns (|r_n|, carry) and advance(u, carry) returns the
+    next iterate; advance runs only when the loop goes on.  Stops on
+    |r| <= tol |b| (converged), on a non-finite |r| or after
+    DIVERGENCE_HYSTERESIS consecutive steps with |r| > 1e6 |b| (diverged),
+    or on max_iters.
     """
     b = view.b.values
     norm_b = _norm(b)
@@ -110,22 +113,35 @@ def born_iterate(view, max_iters=200, tol=1e-12):
 
     above = 0
     for n in range(max_iters):
-        v = view.apply_A(u) + b
-        norm_r = _norm(u - v)  # r_n = (I - A) u_n - b = u_n - v
+        norm_r, carry = residual(u)
         trace.record(n, norm_r, (time.perf_counter() - t0) * 1e3)
         if not np.isfinite(norm_r):
             trace.status = "diverged"
-            return ComplexField(view.grid, u), trace
+            break
         if norm_r <= tol * norm_b:
             trace.status = "converged"
-            return ComplexField(view.grid, u), trace
+            break
         above = above + 1 if norm_r > DIVERGENCE_FACTOR * norm_b else 0
         if above >= DIVERGENCE_HYSTERESIS:
             trace.status = "diverged"
-            return ComplexField(view.grid, u), trace
-        u = v
-    trace.status = "max_iters"
+            break
+        u = advance(u, carry)
     return ComplexField(view.grid, u), trace
+
+
+def born_iterate(view, max_iters=200, tol=1e-12):
+    """Fixed-point iteration u <- A u + b from u = 0 (Neumann series).
+
+    Stops on |r| <= tol |b|, on max_iters, or declares divergence after
+    DIVERGENCE_HYSTERESIS consecutive steps with |r| > 1e6 |b|.
+    """
+    b = view.b.values
+
+    def residual(u):
+        v = view.apply_A(u) + b
+        return _norm(u - v), v  # r_n = (I - A) u_n - b = u_n - v
+
+    return _iterate(view, residual, lambda u, v: v, max_iters, tol)
 
 
 def landweber_iterate(view, eta, max_iters=500, tol=1e-12):
@@ -138,33 +154,15 @@ def landweber_iterate(view, eta, max_iters=500, tol=1e-12):
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
     b = view.b.values
-    norm_b = _norm(b)
-    u = np.zeros_like(b)
-    trace = IterationTrace()
-    t0 = time.perf_counter()
-    if norm_b == 0.0:
-        trace.record(0, 0.0, 0.0)
-        trace.status = "converged"
-        return ComplexField(view.grid, u), trace
 
-    above = 0
-    for n in range(max_iters):
+    def residual(u):
         r = u - view.apply_A(u) - b
-        norm_r = _norm(r)
-        trace.record(n, norm_r, (time.perf_counter() - t0) * 1e3)
-        if not np.isfinite(norm_r):
-            trace.status = "diverged"
-            return ComplexField(view.grid, u), trace
-        if norm_r <= tol * norm_b:
-            trace.status = "converged"
-            return ComplexField(view.grid, u), trace
-        above = above + 1 if norm_r > DIVERGENCE_FACTOR * norm_b else 0
-        if above >= DIVERGENCE_HYSTERESIS:
-            trace.status = "diverged"
-            return ComplexField(view.grid, u), trace
-        u = u - eta * (r - view.apply_AH(r))
-    trace.status = "max_iters"
-    return ComplexField(view.grid, u), trace
+        return _norm(r), r
+
+    def advance(u, r):
+        return u - eta * (r - view.apply_AH(r))
+
+    return _iterate(view, residual, advance, max_iters, tol)
 
 
 def _seeded_start(view, seed):

@@ -4,113 +4,13 @@ Everything downstream (Green's function, kernel tables, background field)
 funnels through :func:`hankel_h0_second`, so this module owns its accuracy
 budget: >= 10 significant digits of the complex value over x in (1e-8, 1e4),
 checked against the arbitrary-precision table frozen by
-``tools/gen_bessel_reference.py``.
-
-Two interchangeable backends:
-
-* a compiled scalar loop (``gihelm._speedups``, built from Cython), picked
-  automatically when present;
-* the pure-numpy implementation below.
-
-Both use the same split: power series for x <= 12, where float64 cancellation
-still leaves ~5e-11 relative error, and a 25-term asymptotic expansion beyond,
-whose optimal-truncation error at the crossover is ~4e-11 and falls off
-exponentially after.  Set ``GIHELM_FORCE_PURE=1`` to ignore the compiled
-backend (used by the benchmark and the backend-parity tests).
+``tools/gen_bessel_reference.py``.  The values come from ``scipy.special``'s
+``j0``/``y0`` (Cephes), which leaves ``scipy.special.hankel2`` (AMOS) free
+to serve as an independent counterpart in cross-checks.
 """
 
-import os
-
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015329
-
-_SERIES_CUTOFF = 12.0
-_SERIES_TERMS = 40
-_ASYMPTOTIC_TERMS = 25
-
-
-def _j0_y0_series(x):
-    # J0 = sum_k (-1)^k q^k/(k!)^2 with q = x^2/4; terms stacked and
-    # pairwise-summed to keep the alternating-series cancellation error down.
-    q = 0.25 * x * x
-    terms = np.empty((_SERIES_TERMS + 1,) + x.shape)
-    terms[0] = 1.0
-    t = np.ones_like(x)
-    for k in range(1, _SERIES_TERMS + 1):
-        t = t * (-q) / (k * k)
-        terms[k] = t
-    j0 = np.sum(terms[::-1], axis=0)
-
-    # Y0 = (2/pi)[(ln(x/2)+gamma) J0 + sum_k (-1)^(k+1) H_k q^k/(k!)^2]
-    t = np.ones_like(x)
-    hk = 0.0
-    for k in range(1, _SERIES_TERMS + 1):
-        t = t * (-q) / (k * k)
-        hk += 1.0 / k
-        terms[k] = -hk * t
-    y0 = (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * j0 + np.sum(terms[1:][::-1], axis=0))
-    return j0, y0
-
-
-def _j0_y0_asymptotic(x):
-    # H0^(2)(x) = sqrt(2/(pi x)) e^{-i(x - pi/4)} sum_k i^k a_k/x^k with
-    # a_k = ((2k-1)!!)^2/(k! 8^k) (equivalently P0 - iQ0 with
-    # Q0 = -1/(8x) + ...); k < 25 is the optimal cut at x = 12.
-    term = np.ones_like(x)
-    s_re = np.ones_like(x)
-    s_im = np.zeros_like(x)
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        term = term * ((2.0 * k - 1.0) ** 2 / (8.0 * k)) / x
-        m = k & 3
-        if m == 0:
-            s_re += term
-        elif m == 1:
-            s_im += term
-        elif m == 2:
-            s_re -= term
-        else:
-            s_im -= term
-    pref = np.sqrt(2.0 / (np.pi * x))
-    phase = x - 0.25 * np.pi
-    cph = np.cos(phase)
-    sph = np.sin(phase)
-    j0 = pref * (cph * s_re + sph * s_im)
-    y0 = -pref * (cph * s_im - sph * s_re)
-    return j0, y0
-
-
-_CHUNK = 1 << 18  # caps the (41, n) series scratch at ~85 MB
-
-
-def _j0_y0_pure(x):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    j0 = np.empty_like(x)
-    y0 = np.empty_like(x)
-    for lo in range(0, x.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        xc, j0c, y0c = x[sl], j0[sl], y0[sl]
-        small = xc <= _SERIES_CUTOFF
-        if small.any():
-            j0c[small], y0c[small] = _j0_y0_series(xc[small])
-        large = ~small
-        if large.any():
-            j0c[large], y0c[large] = _j0_y0_asymptotic(xc[large])
-    return j0, y0
-
-
-def _fused_sincos_pure(x):
-    return np.sin(x), np.cos(x)
-
-
-_speedups = None
-if os.environ.get("GIHELM_FORCE_PURE", "") != "1":
-    try:
-        from . import _speedups  # type: ignore[attr-defined]
-    except ImportError:
-        _speedups = None
-
-BACKEND = "compiled" if _speedups is not None else "pure"
+import scipy.special
 
 
 def bessel_j0_y0(x):
@@ -118,12 +18,7 @@ def bessel_j0_y0(x):
     arr = np.asarray(x, dtype=np.float64)
     if arr.size and (not np.isfinite(arr).all() or (arr <= 0).any()):
         raise ValueError("bessel_j0_y0 requires finite x > 0")
-    flat = np.ascontiguousarray(arr.reshape(-1))
-    if _speedups is not None:
-        j0, y0 = _speedups.j0_y0(flat)
-    else:
-        j0, y0 = _j0_y0_pure(flat)
-    return j0.reshape(arr.shape), y0.reshape(arr.shape)
+    return scipy.special.j0(arr), scipy.special.y0(arr)
 
 
 def hankel_h0_second(x):
@@ -134,13 +29,3 @@ def hankel_h0_second(x):
     """
     j0, y0 = bessel_j0_y0(x)
     return j0 - 1j * y0
-
-
-def fused_sincos(x):
-    """(sin(x), cos(x)) in one pass where the compiled backend is present."""
-    arr = np.asarray(x, dtype=np.float64)
-    if _speedups is not None:
-        flat = np.ascontiguousarray(arr.reshape(-1))
-        s, c = _speedups.fused_sincos(flat)
-        return s.reshape(arr.shape), c.reshape(arr.shape)
-    return _fused_sincos_pure(arr)

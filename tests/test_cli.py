@@ -1,14 +1,16 @@
 """End-to-end runs of the command line interface (subprocess level)."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gihelm import ComplexField, Grid2D, read_field, write_field
+from gihelm import ComplexField, Grid2D, TrainConfig, cli, read_field, write_field
 
 
 def run_cli(*args):
@@ -202,6 +204,30 @@ class TestConfigErrors:
         assert "velocity file not found" in res.stderr
         assert "nope.bin" in res.stderr
 
+    @pytest.mark.parametrize("command,section", [
+        ("solve", {"solve": {"method": "born"}}),
+        ("train", {"train": TINY_TRAIN}),
+        ("pool-dump", {"train": TINY_TRAIN}),
+    ])
+    def test_source_outside_grid_names_the_position(self, tmp_path, command, section):
+        cfg = {**lens_config(-0.10), **section}
+        cfg["source"]["position"] = [5.0, 0.05]
+        path = write_config(tmp_path, cfg)
+        res = run_cli(command, "--config", path, "--out-dir", tmp_path / "out")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "[5.0, 0.05]" in res.stderr and "outside the grid" in res.stderr
+
+    @pytest.mark.parametrize("sigma", [0.0, float("nan")])
+    def test_lens_sigma_must_be_positive(self, tmp_path, sigma):
+        cfg = lens_config(-0.10, solve={"method": "born"})
+        cfg["medium"]["sigma"] = sigma
+        path = write_config(tmp_path, cfg)
+        res = run_cli("solve", "--config", path, "--out-dir", tmp_path / "out")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: medium:")
+        assert "sigma" in res.stderr
+
     def test_usage_errors_exit_1(self, tmp_path):
         assert run_cli().returncode == 1
         assert run_cli("frobnicate").returncode == 1
@@ -210,6 +236,23 @@ class TestConfigErrors:
         write_field(field, ComplexField(Grid2D(2, 2, 0.1, 0.1),
                                         np.zeros((2, 2), complex)))
         assert run_cli("render", field, tmp_path / "x.pgm").returncode == 1
+
+
+class TestTrainConfigKeys:
+    def test_every_field_accepted_with_its_default(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        train = json.loads(json.dumps({**defaults, "reference": "direct"}))
+        cfg = lens_config(-0.10, train=train)
+        medium, _ = cli._build_medium(cfg, Path("."))
+        tcfg, reference = cli._build_train_config(cfg, medium)
+        assert tcfg == TrainConfig()
+        assert reference == "direct"
+
+    def test_normalized_residual_scale(self):
+        cfg = lens_config(-0.10, train={"pde_residual_scale": "normalized"})
+        medium, _ = cli._build_medium(cfg, Path("."))
+        tcfg, _ = cli._build_train_config(cfg, medium)
+        assert tcfg.pde_residual_scale == (medium.v0 / medium.omega) ** 2
 
 
 def read_pgm(path):

@@ -77,6 +77,13 @@ def test_gaussian_lens_slow_lens_has_positive_delta_m():
         gaussian_lens_medium(g, 1.0, 2 * np.pi, contrast=-1.0, sigma=0.2)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -0.2, np.nan, np.inf])
+def test_gaussian_lens_rejects_bad_sigma(sigma):
+    g = Grid2D(nz=5, nx=5, dz=0.1, dx=0.1)
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_lens_medium(g, 1.0, 2 * np.pi, contrast=-0.1, sigma=sigma)
+
+
 def test_layered_medium_profile():
     g = Grid2D(nz=6, nx=3, dz=0.1, dx=0.1)
     med = layered_medium(g, 1.5, 2 * np.pi, interfaces=[0.25], velocities=[1.0, 2.0])

@@ -6,14 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gihelm.special import (
-    BACKEND,
-    _fused_sincos_pure,
-    _j0_y0_pure,
-    bessel_j0_y0,
-    fused_sincos,
-    hankel_h0_second,
-)
+from gihelm.special import bessel_j0_y0, hankel_h0_second
 
 REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "bessel_reference.json").read_text()
@@ -35,9 +28,8 @@ def test_reference_table_spans_both_branches():
 
 
 def test_j0_y0_against_reference():
-    # floored-relative error: near the functions' zeros (and the x = 12
-    # branch seam, where the 40-term series is cancellation-limited) the
-    # meaningful bound is absolute, ~1e-12
+    # floored-relative error: near the functions' zeros the meaningful
+    # bound is absolute
     x, j0_ref, y0_ref = _columns()
     j0, y0 = bessel_j0_y0(x)
     scale_j = np.maximum(np.abs(j0_ref), 1e-3)
@@ -61,40 +53,7 @@ def test_hankel_combination_identity():
     np.testing.assert_allclose(h.imag, -y0, rtol=0, atol=1e-15)
 
 
-def test_branch_crossover_is_continuous():
-    # series is used through x = 12, asymptotic beyond; the seam must not jump
-    left = bessel_j0_y0(np.array([12.0 - 1e-9]))
-    right = bessel_j0_y0(np.array([12.0 + 1e-9]))
-    for a, b in zip(left, right):
-        assert abs(a[0] - b[0]) < 1e-8
-
-
-def test_pure_path_matches_active_backend():
-    # same algorithm, different summation order: ulp-scale drift only
-    x = np.geomspace(1e-6, 5e3, 4000)
-    j0_a, y0_a = bessel_j0_y0(x)
-    j0_p, y0_p = _j0_y0_pure(x)
-    np.testing.assert_allclose(j0_a, j0_p, rtol=1e-9, atol=2e-12)
-    np.testing.assert_allclose(y0_a, y0_p, rtol=1e-9, atol=2e-12)
-
-
-def test_fused_sincos_matches_numpy_and_pure():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-50, 50, size=(37, 23))
-    s, c = fused_sincos(x)
-    np.testing.assert_allclose(s, np.sin(x), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(c, np.cos(x), rtol=0, atol=1e-15)
-    s_p, c_p = _fused_sincos_pure(x)
-    np.testing.assert_array_equal(s_p, np.sin(x))
-    np.testing.assert_array_equal(c_p, np.cos(x))
-
-
-def test_backend_is_reported():
-    assert BACKEND in ("compiled", "pure")
-
-
 def test_nonpositive_argument_rejected():
-    with pytest.raises(ValueError):
-        bessel_j0_y0(np.array([0.0]))
-    with pytest.raises(ValueError):
-        bessel_j0_y0(np.array([-1.0]))
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            bessel_j0_y0(np.array([1.0, bad]))

@@ -11,8 +11,9 @@ on a grid of arguments covering x in [1e-8, 1e4]:
     components is hardest to hold),
   * a handful of hand-pinned sanity points.
 
-The in-house evaluator is tested against these frozen values; regenerate only
-with this script so the reference stays independent of the implementation.
+gihelm's evaluator (gihelm.special) is tested against these frozen values;
+regenerate only with this script so the reference stays independent of the
+implementation.
 
 Usage: python tools/gen_bessel_reference.py [out.json]
 """
