@@ -92,9 +92,14 @@ def encode_with_derivs(points, k_bands):
     return f, gz, gx, hz, hx
 
 
-def _sincos(p):
-    """sin(p) and cos(p) of a layer's pre-activation, both needed per layer."""
-    return np.sin(p), np.cos(p)
+def _sincos(p, cos_out=None):
+    """sin(p) and cos(p) of a layer's pre-activation, both needed per layer.
+
+    p is consumed: sin(p) is written over it, and cos(p) into cos_out when
+    one is given, so no new array is made per layer.
+    """
+    c = np.cos(p, out=cos_out)
+    return np.sin(p, out=p), c
 
 
 class NeuralField:
@@ -201,12 +206,26 @@ class NeuralField:
         values = out[:, 0] + 1j * out[:, 1]
         return values[0] if np.asarray(points).ndim == 1 else values
 
-    def _forward_from_features(self, feats, keep_cache=True):
+    def layer_buffers(self, n_points):
+        """Per hidden layer, the two (n_points, width) arrays that
+        _forward_from_features fills (sin, cos); reusing them across calls
+        spares the allocator fresh, zeroed pages every epoch."""
+        return [(np.empty((n_points, w.shape[1])), np.empty((n_points, w.shape[1])))
+                for w in self.weights[:-1]]
+
+    def _forward_from_features(self, feats, keep_cache=True, buffers=None):
+        """Output and, with keep_cache, the per-layer (input, sin, cos).
+
+        buffers, from layer_buffers, receive the sin and cos arrays; the
+        cache then refers to them until the next call that uses them.
+        """
         x = feats
         cache = [] if keep_cache else None
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            p = x @ w + b
-            s, c = _sincos(p)
+        for layer, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            p, c_out = (None, None) if buffers is None else buffers[layer]
+            p = np.matmul(x, w, out=p)
+            p += b
+            s, c = _sincos(p, c_out)
             if keep_cache:
                 cache.append((x, s, c))
             x = s

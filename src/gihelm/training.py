@@ -131,21 +131,25 @@ def build_pool(medium, source, n_pool, n_raw, alpha, eps_fraction, rng):
 
 # -- losses ------------------------------------------------------------------
 
-def gi_loss(field, kernel, medium, u0, grid_features=None):
+def gi_loss(field, kernel, medium, u0, grid_features=None, buffers=None):
     """Mean squared integral mismatch on the grid, with parameter gradient.
 
     Evaluates Us at every grid node, reconstructs it through the padded
     convolution, and penalizes (1/N_y) sum |Us_hat - Us|^2 over the
     medium interior.  The reconstruction participates in the gradient:
     the pullback of the mismatch through the convolution is
-    (2/N)(M C^H E - E) with M the diagonal w^2 dm W map.
+    (2/N)(M C^H E - E) with M the diagonal w^2 dm W map.  buffers, from
+    field.layer_buffers, hold the network's per-layer arrays between calls.
     """
     g = medium.grid
     if kernel.physical_grid != g or u0.grid != g:
         raise ValueError("kernel, medium, and u0 must share one grid")
     if grid_features is None:
         grid_features = grid_encoding(field, medium)
-    out, cache = field._forward_from_features(grid_features)
+    if buffers is None:  # a stand-in field need not take buffers
+        out, cache = field._forward_from_features(grid_features)
+    else:
+        out, cache = field._forward_from_features(grid_features, buffers=buffers)
     us = (out[:, 0] + 1j * out[:, 1]).reshape(g.shape)
 
     m_values = medium.omega**2 * g.w * medium.delta_m
@@ -295,6 +299,7 @@ def train(config, medium, kernel, source, reference=None, workdir=None):
                            n_hidden=config.n_hidden)
     u0 = background_field(medium, source)
     feats = grid_encoding(net, medium)
+    buffers = net.layer_buffers(feats.shape[0])
     mask = medium.interior_mask()
 
     use_gi = config.mode != "pde_only"
@@ -315,7 +320,7 @@ def train(config, medium, kernel, source, reference=None, workdir=None):
     for t in range(config.epochs):
         loss_gi_v, grad, us_grid = None, None, None
         if use_gi:
-            loss_gi_v, grad, us_grid = gi_loss(net, kernel, medium, u0, feats)
+            loss_gi_v, grad, us_grid = gi_loss(net, kernel, medium, u0, feats, buffers)
         loss_pde_v, lam = None, None
         if use_pde:
             batch = rng.choice(config.n_pool, size=config.n_x, replace=False)
