@@ -41,12 +41,10 @@ from .kernel import (
 from .operators import (
     DENSE_CAP,
     LinearSystemView,
-    gi_mismatch,
     gi_reconstruct_dense,
-    gi_reconstruct_fft,
     linear_system_view,
     residual,
-    scatter_source,
+    scattering_weights,
 )
 from .solvers import (
     IterationTrace,

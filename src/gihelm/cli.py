@@ -15,7 +15,7 @@ and a SHA-256 checksum per output file, so a run is reproducible and
 verifiable from the manifest alone.
 
 Exit codes: 0 success (converged or completed), 1 configuration or
-usage error, 2 solver diverged, 3 training loss became non-finite.
+usage error, 2 solver diverged, 3 training loss or gradient became non-finite.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -98,7 +99,7 @@ def _section(cfg, name, required=False):
     return sec
 
 
-def _field_of(sec, where, key, kind, default=_REQUIRED, choices=None):
+def _field_of(sec, where, key, kind, default=_REQUIRED, choices=None, minimum=None):
     if key not in sec:
         if default is _REQUIRED:
             raise ConfigError(f"'{where}.{key}' is required")
@@ -119,6 +120,8 @@ def _field_of(sec, where, key, kind, default=_REQUIRED, choices=None):
             raise ConfigError(f"'{where}.{key}' must be a list, got {val!r}")
     if choices is not None and val not in choices:
         raise ConfigError(f"'{where}.{key}' must be one of {choices}, got {val!r}")
+    if minimum is not None and not (math.isfinite(val) and val >= minimum):
+        raise ConfigError(f"'{where}.{key}' must be finite and >= {minimum}, got {val!r}")
     return val
 
 
@@ -127,10 +130,18 @@ def _pair(sec, where, key, default=_REQUIRED):
     if val is default and val is not _REQUIRED:
         return val
     if len(val) != 2 or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in val
+        isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+        for v in val
     ):
-        raise ConfigError(f"'{where}.{key}' must be a pair of numbers, got {val!r}")
+        raise ConfigError(f"'{where}.{key}' must be a pair of finite numbers, got {val!r}")
     return float(val[0]), float(val[1])
+
+
+def _omega(cfg):
+    f = _field_of(cfg, "config", "frequency_hz", float)
+    if not (math.isfinite(f) and f > 0):
+        raise ConfigError(f"'config.frequency_hz' must be finite and positive, got {f!r}")
+    return 2.0 * np.pi * f
 
 
 _TOP_KEYS = (
@@ -186,13 +197,11 @@ def _build_medium(cfg, config_dir):
             )
         medium = read_velocity_model(raw, sidecar)
         if "frequency_hz" in cfg:
-            f = _field_of(cfg, "config", "frequency_hz", float)
-            medium = replace(medium, omega=2.0 * np.pi * f)
+            medium = replace(medium, omega=_omega(cfg))
         return medium, [raw, sidecar]
 
     grid = _build_grid(cfg)
-    f = _field_of(cfg, "config", "frequency_hz", float)
-    omega = 2.0 * np.pi * f
+    omega = _omega(cfg)
     v0 = _field_of(sec, "medium", "v0", float)
     try:
         if kind == "homogeneous":
@@ -230,9 +239,10 @@ def _build_source(cfg):
     amp = sec.get("amplitude", 1.0)
     if isinstance(amp, list):
         amp = complex(*_pair(sec, "source", "amplitude"))
-    elif isinstance(amp, bool) or not isinstance(amp, (int, float)):
+    elif (isinstance(amp, bool) or not isinstance(amp, (int, float))
+          or not math.isfinite(amp)):
         raise ConfigError(
-            f"'source.amplitude' must be a number or [re, im] pair, got {amp!r}"
+            f"'source.amplitude' must be a finite number or [re, im] pair, got {amp!r}"
         )
     return SourceSpec(position=position, amplitude=complex(amp))
 
@@ -395,8 +405,8 @@ def cmd_solve(args):
     elif method == "born":
         us, trace = born_iterate(
             view,
-            max_iters=_field_of(sec, "solve", "max_iters", int, default=200),
-            tol=_field_of(sec, "solve", "tol", float, default=1e-12),
+            max_iters=_field_of(sec, "solve", "max_iters", int, default=200, minimum=1),
+            tol=_field_of(sec, "solve", "tol", float, default=1e-12, minimum=0.0),
         )
     else:
         seed = _field_of(sec, "solve", "seed", int, default=0)
@@ -406,19 +416,21 @@ def cmd_solve(args):
         if eta == "auto":
             sigma = estimate_sigma_max(
                 view,
-                iters=_field_of(sec, "solve", "power_iters", int, default=200),
+                iters=_field_of(sec, "solve", "power_iters", int, default=200,
+                                minimum=1),
                 seed=seed,
             )
             eta = 1.0 / sigma**2
-        elif isinstance(eta, bool) or not isinstance(eta, (int, float)):
+        elif (isinstance(eta, bool) or not isinstance(eta, (int, float))
+              or not (math.isfinite(eta) and eta >= 0)):
             raise ConfigError(
-                f"'solve.eta' must be a number or \"auto\", got {eta!r}"
+                f"'solve.eta' must be a finite number >= 0 or \"auto\", got {eta!r}"
             )
         us, trace = landweber_iterate(
             view,
             eta=float(eta),
-            max_iters=_field_of(sec, "solve", "max_iters", int, default=500),
-            tol=_field_of(sec, "solve", "tol", float, default=1e-12),
+            max_iters=_field_of(sec, "solve", "max_iters", int, default=500, minimum=1),
+            tol=_field_of(sec, "solve", "tol", float, default=1e-12, minimum=0.0),
         )
 
     out = _out_dir(args)

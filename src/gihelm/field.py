@@ -458,6 +458,12 @@ def load_checkpoint(path):
         raise FieldFormatError(f"bad checkpoint magic {magic!r}", byte_offset=0)
     if version != CHECKPOINT_VERSION:
         raise FieldFormatError(f"unsupported checkpoint version {version}")
+    # header: magic at byte 0, version at 4, k_bands at 6, n_layers at 10
+    if k_bands < 1:
+        raise FieldFormatError(f"checkpoint k_bands must be >= 1, got {k_bands}",
+                               byte_offset=6)
+    if n_layers < 1:
+        raise FieldFormatError("checkpoint has no layers", byte_offset=10)
     pos = head_size
     dims = []
     for _ in range(n_layers):
@@ -466,6 +472,11 @@ def load_checkpoint(path):
         fi, fo = struct.unpack_from("<II", blob, pos)
         dims.append((fi, fo))
         pos += 8
+    feature_dim = EncodingConfig(k_bands).feature_dim
+    if dims[0][0] != feature_dim:
+        raise FieldFormatError(
+            f"checkpoint k_bands {k_bands} needs a first-layer fan-in of "
+            f"{feature_dim}, got {dims[0][0]}", byte_offset=head_size)
     n_params = sum(fi * fo + fo for fi, fo in dims)
     expected = pos + 8 * n_params
     if len(blob) != expected:
@@ -473,10 +484,18 @@ def load_checkpoint(path):
             f"checkpoint payload holds {len(blob) - pos} bytes, expected {8 * n_params}",
             byte_offset=min(len(blob), expected))
     flat = np.frombuffer(blob, dtype="<f8", count=n_params, offset=pos)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise FieldFormatError("checkpoint holds a non-finite parameter",
+                               byte_offset=pos + 8 * int(bad[0]))
     weights, biases, at = [], [], 0
     for fi, fo in dims:
         weights.append(flat[at:at + fi * fo].reshape(fi, fo))
         at += fi * fo
         biases.append(flat[at:at + fo])
         at += fo
-    return NeuralField(weights, biases, (dims[0][0] - 2) // 4)
+    try:
+        return NeuralField(weights, biases, k_bands)
+    except ValueError as exc:
+        raise FieldFormatError(f"checkpoint layer table: {exc}",
+                               byte_offset=head_size) from exc

@@ -88,10 +88,10 @@ class Medium:
             raise ValueError(f"velocity shape {v.shape} != grid shape {self.grid.shape}")
         if not np.isfinite(v).all() or (v <= 0).any():
             raise ValueError("velocity must be finite and strictly positive")
-        if self.v0 <= 0:
-            raise ValueError(f"v0 must be positive, got {self.v0}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (np.isfinite(self.v0) and self.v0 > 0):
+            raise ValueError(f"v0 must be finite and positive, got {self.v0}")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         object.__setattr__(self, "velocity", v)
         if self.interior is None:
             object.__setattr__(self, "interior", (slice(0, self.grid.nz), slice(0, self.grid.nx)))
@@ -282,8 +282,11 @@ def read_velocity_model(raw_path, sidecar_path):
     if unknown:
         raise ConfigError(f"sidecar {sidecar_path} has unknown keys: {unknown}")
 
-    grid = Grid2D(int(meta["nz"]), int(meta["nx"]), float(meta["dz"]), float(meta["dx"]),
-                  float(meta["z0"]), float(meta["x0"]))
+    try:
+        grid = Grid2D(int(meta["nz"]), int(meta["nx"]), float(meta["dz"]),
+                      float(meta["dx"]), float(meta["z0"]), float(meta["x0"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sidecar {sidecar_path}: {exc}") from exc
     blob = Path(raw_path).read_bytes()
     expected = 4 * grid.n
     if len(blob) != expected:
@@ -291,7 +294,10 @@ def read_velocity_model(raw_path, sidecar_path):
             f"velocity file {raw_path} holds {len(blob)} bytes, expected {expected} "
             f"({grid.nz}x{grid.nx} float32)", byte_offset=min(len(blob), expected))
     velocity = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(grid.shape)
-    return Medium(grid, velocity, float(meta["v0"]), float(meta["omega"]))
+    try:
+        return Medium(grid, velocity, float(meta["v0"]), float(meta["omega"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"velocity model {raw_path}: {exc}") from exc
 
 
 def write_velocity_model(medium, raw_path, sidecar_path):

@@ -1,10 +1,12 @@
-"""Discrete scattering integral: FFT fast path, dense oracle, linear system.
+"""Discrete scattering integral: the linear system and its dense oracle.
 
 The scattered field obeys Us(x) = sum_k G0(x, y_k) D(y_k) with the
 scattering source D = w^2 dm (U0 + Us) W on the grid.  Writing M for the
-diagonal map u -> w^2 dm W u and C for convolution with the kernel table,
-that is Us_hat = C M (u0 + us) = A us + b with A = C M and b = C M u0.
-The FFT path evaluates C by padded circular convolution; the dense path
+diagonal map u -> w^2 dm W u (scattering_weights) and C for convolution
+with the kernel table, that is Us_hat = C M (u0 + us) = A us + b with
+A = C M and b = C M u0.  LinearSystemView applies A and its adjoint by
+padded FFT convolution; every solver and the training loss go through
+it or through convolve / convolve_adjoint.  gi_reconstruct_dense
 evaluates the same sum entry by entry from recomputed distances and is
 kept deliberately independent of the FFT machinery.
 """
@@ -28,12 +30,9 @@ def _require_same_grid(kernel, medium, *fields):
             raise ValueError("field grid does not match the medium grid")
 
 
-def scatter_source(medium, u0, us):
-    """D = w^2 dm (U0 + Us) W; zero wherever dm = 0."""
-    if u0.grid != medium.grid or us.grid != medium.grid:
-        raise ValueError("field grid does not match the medium grid")
-    d = (medium.omega**2 * medium.grid.w) * medium.delta_m * (u0.values + us.values)
-    return ComplexField(medium.grid, d)
+def scattering_weights(medium):
+    """Diagonal of M: w^2 W dm per grid node, zero wherever dm = 0."""
+    return medium.omega**2 * medium.grid.w * medium.delta_m
 
 
 def convolve(kernel, density_values):
@@ -55,13 +54,6 @@ def convolve_adjoint(kernel, values):
     return np.fft.ifft2(np.conj(kernel.spectrum) * spec)[:nz, :nx]
 
 
-def gi_reconstruct_fft(kernel, medium, u0, us):
-    """Us_hat = C(D) by FFT on the padded grid, restricted to the physical grid."""
-    _require_same_grid(kernel, medium, u0, us)
-    d = scatter_source(medium, u0, us)
-    return ComplexField(medium.grid, convolve(kernel, d.values))
-
-
 def gi_reconstruct_dense(medium, kernel, u0, us, cap=DENSE_CAP):
     """Us_hat by direct summation over scatterer points (oracle path).
 
@@ -75,7 +67,7 @@ def gi_reconstruct_dense(medium, kernel, u0, us, cap=DENSE_CAP):
     if g.n > cap:
         raise ResourceLimitError(
             f"dense path refused: {g.n} points exceeds cap {cap}")
-    d = scatter_source(medium, u0, us).values.ravel()
+    d = (scattering_weights(medium) * (u0.values + us.values)).ravel()
     coords = g.node_coords()
     diag = self_term(equivalent_disk_radius(g), kernel.k0, kernel.self_term_mode)
 
@@ -93,24 +85,13 @@ def gi_reconstruct_dense(medium, kernel, u0, us, cap=DENSE_CAP):
     return ComplexField(g, out.reshape(g.shape))
 
 
-def gi_mismatch(kernel, medium, u0, us):
-    """Mean squared GI violation (1/N_y) sum |Us_hat - Us|^2.
-
-    Observed on the medium's interior only: with a tapered medium the pad
-    contributes as scatterer but not as observation point.
-    """
-    rec = gi_reconstruct_fft(kernel, medium, u0, us)
-    diff = (rec.values - us.values)[medium.interior]
-    return float(np.mean(diff.real**2 + diff.imag**2))
-
-
 class LinearSystemView:
     """(I - A) us = b with A = C M and b = C M u0.
 
-    apply_A and apply_AH accept and return either ComplexField or a bare
-    (nz, nx) complex array; the array form carries no finiteness checks,
-    which the iterative solvers need in order to observe divergence
-    rather than trip a constructor guard.
+    apply_A and apply_AH take and return bare (nz, nx) complex arrays,
+    which carry no finiteness checks: the iterative solvers need that in
+    order to observe divergence rather than trip a constructor guard.
+    b is a ComplexField.
     """
 
     def __init__(self, kernel, medium, u0):
@@ -118,19 +99,14 @@ class LinearSystemView:
         self.kernel = kernel
         self.medium = medium
         self.grid = medium.grid
-        self.m_values = medium.omega**2 * medium.grid.w * medium.delta_m
+        self.m_values = scattering_weights(medium)
         self.b = ComplexField(self.grid, convolve(kernel, self.m_values * u0.values))
 
-    def _wrap(self, values, like):
-        return ComplexField(self.grid, values) if isinstance(like, ComplexField) else values
-
     def apply_A(self, u):
-        values = u.values if isinstance(u, ComplexField) else u
-        return self._wrap(convolve(self.kernel, self.m_values * values), u)
+        return convolve(self.kernel, self.m_values * u)
 
     def apply_AH(self, y):
-        values = y.values if isinstance(y, ComplexField) else y
-        return self._wrap(self.m_values * convolve_adjoint(self.kernel, values), y)
+        return self.m_values * convolve_adjoint(self.kernel, y)
 
     def assemble_dense(self, cap=DENSE_CAP):
         """Explicit A as an (N, N) matrix, via kernel-table lookups."""
@@ -155,8 +131,5 @@ def linear_system_view(kernel, medium, u0):
 
 
 def residual(view, us):
-    """r = (I - A) us - b; identically zero at the exact solution."""
-    values = us.values if isinstance(us, ComplexField) else us
-    a_us = view.apply_A(values)
-    r = values - a_us - view.b.values
-    return ComplexField(view.grid, r) if isinstance(us, ComplexField) else r
+    """r = (I - A) us - b as an array; identically zero at the exact solution."""
+    return us - view.apply_A(us) - view.b.values

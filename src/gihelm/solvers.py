@@ -101,6 +101,10 @@ def _iterate(view, residual, advance, max_iters, tol):
     DIVERGENCE_HYSTERESIS consecutive steps with |r| > 1e6 |b| (diverged),
     or on max_iters.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     b = view.b.values
     norm_b = _norm(b)
     u = np.zeros_like(b)
@@ -151,8 +155,8 @@ def landweber_iterate(view, eta, max_iters=500, tol=1e-12):
     eta = 0 is permitted and leaves the iterate at zero (status
     max_iters), which is occasionally useful as a control run.
     """
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     b = view.b.values
 
     def residual(u):

@@ -12,7 +12,7 @@ it is only ever used as a weighted companion term.
 import csv
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import NonFiniteLossError
 from .field import AdamState, NeuralField, adam_step, lr_at, save_checkpoint, encode
 from .grid import ComplexField, normalize_points
 from .kernel import background_field
-from .operators import convolve, convolve_adjoint
+from .operators import convolve, convolve_adjoint, scattering_weights
 
 TWO_PI = 2.0 * np.pi
 
@@ -138,21 +138,19 @@ def gi_loss(field, kernel, medium, u0, grid_features=None, buffers=None):
     convolution, and penalizes (1/N_y) sum |Us_hat - Us|^2 over the
     medium interior.  The reconstruction participates in the gradient:
     the pullback of the mismatch through the convolution is
-    (2/N)(M C^H E - E) with M the diagonal w^2 dm W map.  buffers, from
-    field.layer_buffers, hold the network's per-layer arrays between calls.
+    (2/N)(M C^H E - E) with M the diagonal w^2 dm W map from
+    scattering_weights.  buffers, from field.layer_buffers, hold the
+    network's per-layer arrays between calls.
     """
     g = medium.grid
     if kernel.physical_grid != g or u0.grid != g:
         raise ValueError("kernel, medium, and u0 must share one grid")
     if grid_features is None:
         grid_features = grid_encoding(field, medium)
-    if buffers is None:  # a stand-in field need not take buffers
-        out, cache = field._forward_from_features(grid_features)
-    else:
-        out, cache = field._forward_from_features(grid_features, buffers=buffers)
+    out, cache = field._forward_from_features(grid_features, buffers=buffers)
     us = (out[:, 0] + 1j * out[:, 1]).reshape(g.shape)
 
-    m_values = medium.omega**2 * g.w * medium.delta_m
+    m_values = scattering_weights(medium)
     rec = convolve(kernel, m_values * (u0.values + us))
     err = rec - us
     mask = medium.interior_mask()
@@ -244,8 +242,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "width", "k_bands", "n_hidden", "n_x"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.lambda_max < 0:
             raise ValueError("lambda_max must be >= 0")
         if not self.n_x <= self.n_pool <= self.n_raw:
@@ -283,6 +286,16 @@ def _predict_grid(field, grid_features, shape):
     return (out[:, 0] + 1j * out[:, 1]).reshape(shape)
 
 
+def _abort_non_finite(net, workdir, message):
+    """Raise NonFiniteLossError, first saving the network's current (last
+    finite) parameters as a diagnostic checkpoint when a workdir is given."""
+    ckpt = None
+    if workdir is not None:
+        ckpt = str(Path(workdir) / "diagnostic.gihc")
+        save_checkpoint(net, ckpt)
+    raise NonFiniteLossError(message, checkpoint_path=ckpt)
+
+
 def train(config, medium, kernel, source, reference=None, workdir=None):
     """Run one training job; returns (field, EvalReport).
 
@@ -290,9 +303,9 @@ def train(config, medium, kernel, source, reference=None, workdir=None):
     network init, pool selection, and per-epoch batch draws in a fixed
     order, and the PDE machinery is skipped entirely in gi mode and in
     hybrid mode with lambda_max = 0 so those two configs produce
-    bit-identical trajectories.  A non-finite loss aborts with the last
-    finite parameters saved as a diagnostic checkpoint when a workdir is
-    given.
+    bit-identical trajectories.  A non-finite loss or gradient aborts with
+    the last finite parameters saved as a diagnostic checkpoint when a
+    workdir is given.
     """
     rng = np.random.default_rng(config.seed)
     net = NeuralField.init(rng, width=config.width, k_bands=config.k_bands,
@@ -338,13 +351,9 @@ def train(config, medium, kernel, source, reference=None, workdir=None):
             total = loss_gi_v
 
         if not np.isfinite(total):
-            ckpt = None
-            if workdir is not None:
-                ckpt = str(Path(workdir) / "diagnostic.gihc")
-                net.set_flat(theta)
-                save_checkpoint(net, ckpt)
-            raise NonFiniteLossError(
-                f"loss became non-finite at epoch {t}", checkpoint_path=ckpt)
+            _abort_non_finite(net, workdir, f"loss became non-finite at epoch {t}")
+        if not np.isfinite(grad).all():
+            _abort_non_finite(net, workdir, f"gradient became non-finite at epoch {t}")
 
         lr = lr_at(t, config.epochs, config.lr0, config.lr_decay_ratio)
         theta = adam_step(state, theta, grad, lr)

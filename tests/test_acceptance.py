@@ -36,12 +36,7 @@ from gihelm import (
     train,
 )
 from gihelm.grid import normalize_points
-from gihelm.operators import (
-    convolve,
-    convolve_adjoint,
-    gi_reconstruct_dense,
-    gi_reconstruct_fft,
-)
+from gihelm.operators import convolve, convolve_adjoint, gi_reconstruct_dense
 from gihelm.solvers import (
     bisect_to_rho,
     born_iterate,
@@ -51,7 +46,7 @@ from gihelm.solvers import (
 )
 from gihelm.training import _bilinear, grid_encoding, weighted_sample_without_replacement
 
-from util import make_lens, random_field_values, random_medium
+from util import FixedGridField, make_lens, random_field_values, random_medium
 
 
 def sha256(path):
@@ -70,7 +65,8 @@ def test_01_fft_reconstruction_matches_dense():
         kernel = build_kernel(medium.grid, medium.k0)
         u0 = ComplexField(medium.grid, random_field_values(rng, medium.grid.shape))
         us = ComplexField(medium.grid, random_field_values(rng, medium.grid.shape))
-        fast = gi_reconstruct_fft(kernel, medium, u0, us).values
+        view = linear_system_view(kernel, medium, u0)
+        fast = view.apply_A(us.values) + view.b.values
         dense = gi_reconstruct_dense(medium, kernel, u0, us).values
         rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
         assert rel <= 1e-11, f"{nz}x{nx}: rel={rel:.3e}"
@@ -113,7 +109,6 @@ def test_02_self_term_refinement():
         dm[c, c] = 1.0
         medium = type(base)(grid, 1.0 / np.sqrt(base.m0 + dm), 1.0, 1.0)
         u0 = ComplexField(grid, np.ones((n, n), complex))
-        us0 = ComplexField(grid, np.zeros((n, n), complex))
 
         # one active cell of weight W against the equal-area disk
         radius = np.sqrt(h * h / np.pi)
@@ -123,7 +118,7 @@ def test_02_self_term_refinement():
 
         for mode in errs:
             kernel = build_kernel(grid, medium.k0, mode=mode)
-            got = gi_reconstruct_fft(kernel, medium, u0, us0).values
+            got = linear_system_view(kernel, medium, u0).b.values
             errs[mode].append(np.linalg.norm(got - ref) / np.linalg.norm(ref))
 
     for cell, zero in zip(errs["cell_averaged"], errs["zero"]):
@@ -286,21 +281,6 @@ def test_06_tangent_kernel_first_order_law():
 # --- 7: us = -u0 fools the pointwise residual but not the integral loss
 
 
-class _FixedGridField:
-    """Stands in for a network that outputs exactly the given grid values."""
-
-    k_bands = 1
-
-    def __init__(self, values):
-        self._out = np.column_stack([values.real.ravel(), values.imag.ravel()])
-
-    def _forward_from_features(self, feats, keep_cache=True):
-        return self._out, None
-
-    def _backward_from_cache(self, cache, adjoint):
-        return np.zeros(1)
-
-
 class _AnalyticField:
     """Prescribed values and normalized-coordinate Laplacian."""
 
@@ -316,7 +296,7 @@ def test_07_trivial_solution_discrimination():
     medium, kernel, source, u0 = make_lens(24, 24, contrast=-0.2)
     g = medium.grid
 
-    loss, _, _ = gi_loss(_FixedGridField(-u0.values), kernel, medium, u0)
+    loss, _, _ = gi_loss(FixedGridField(-u0.values), kernel, medium, u0)
     mask = medium.interior_mask()
     want = float(np.mean(np.abs(u0.values[mask]) ** 2))
     assert abs(loss - want) <= 1e-10 * want

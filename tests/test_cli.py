@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gihelm import ComplexField, Grid2D, TrainConfig, cli, read_field, write_field
+from gihelm import (
+    ComplexField,
+    Grid2D,
+    TrainConfig,
+    cli,
+    homogeneous_medium,
+    read_field,
+    write_field,
+    write_velocity_model,
+)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
+    # the child imports gihelm from this checkout, as the test process does
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "gihelm.cli", *map(str, args)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -227,6 +242,46 @@ class TestConfigErrors:
         assert res.returncode == 1
         assert res.stderr.startswith("error: medium:")
         assert "sigma" in res.stderr
+
+    @pytest.mark.parametrize("key,edit", [
+        ("frequency_hz", lambda cfg: cfg.update(frequency_hz=float("nan"))),
+        ("source.amplitude",
+         lambda cfg: cfg["source"].update(amplitude=float("nan"))),
+        ("solve.eta", lambda cfg: cfg.update(
+            solve={"method": "landweber", "eta": -1})),
+        ("solve.power_iters", lambda cfg: cfg.update(
+            solve={"method": "landweber", "power_iters": 0})),
+        ("solve.max_iters", lambda cfg: cfg.update(
+            solve={"method": "born", "max_iters": -3})),
+        ("solve.tol", lambda cfg: cfg.update(
+            solve={"method": "born", "tol": float("nan")})),
+    ])
+    def test_invalid_number_names_the_key(self, tmp_path, key, edit):
+        cfg = lens_config(-0.10, solve={"method": "born"})
+        edit(cfg)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli("solve", "--config", path, "--out-dir", out)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert key in res.stderr
+        assert not (out / "solution.gihf").exists()
+
+    def test_nan_frequency_on_a_file_medium_names_the_key(self, tmp_path):
+        grid = Grid2D(nz=6, nx=6, dz=0.2, dx=0.2)
+        write_velocity_model(homogeneous_medium(grid, 1.0, 2 * np.pi),
+                             tmp_path / "v.bin", tmp_path / "v.json")
+        cfg = {
+            "frequency_hz": float("nan"),
+            "medium": {"kind": "file", "path": "v.bin", "sidecar": "v.json"},
+            "source": {"position": [0.3, 0.3]},
+            "solve": {"method": "direct"},
+        }
+        path = write_config(tmp_path, cfg)
+        res = run_cli("solve", "--config", path, "--out-dir", tmp_path / "out")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "frequency_hz" in res.stderr
 
     def test_usage_errors_exit_1(self, tmp_path):
         assert run_cli().returncode == 1

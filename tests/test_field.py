@@ -1,5 +1,7 @@
 """Sine-activated neural field: encoding, derivatives, NTK, Adam, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -294,4 +296,42 @@ class TestCheckpoint:
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
         with pytest.raises(FieldFormatError):
+            load_checkpoint(path)
+
+    def _rewrite(self, tmp_path, k_bands, dims, payload=None):
+        """Checkpoint with a hand-written header, layer table and payload."""
+        path = tmp_path / "net.gihc"
+        blob = struct.pack("<4sHII", b"GIHC", 1, k_bands, len(dims))
+        blob += b"".join(struct.pack("<II", fi, fo) for fi, fo in dims)
+        if payload is None:
+            payload = np.zeros(sum(fi * fo + fo for fi, fo in dims))
+        path.write_bytes(blob + payload.astype("<f8").tobytes())
+        return path
+
+    def test_zero_layers_rejected(self, tmp_path):
+        path = self._rewrite(tmp_path, 2, [])
+        with pytest.raises(FieldFormatError, match="no layers") as err:
+            load_checkpoint(path)
+        assert err.value.byte_offset == 10
+
+    @pytest.mark.parametrize("k_bands,fan_in", [(3, 10), (2, 11), (1, 10)])
+    def test_k_bands_must_match_first_fan_in(self, tmp_path, k_bands, fan_in):
+        path = self._rewrite(tmp_path, k_bands, [(fan_in, 4), (4, 2)])
+        with pytest.raises(FieldFormatError, match="k_bands") as err:
+            load_checkpoint(path)
+        assert err.value.byte_offset == 14
+
+    def test_non_finite_payload_reports_offset(self, tmp_path):
+        net = small_net()
+        flat = net.get_flat()
+        flat[5] = np.nan
+        path = self._rewrite(tmp_path, net.k_bands, net.layer_dims, flat)
+        header = 14 + 8 * len(net.layer_dims)
+        with pytest.raises(FieldFormatError, match="non-finite") as err:
+            load_checkpoint(path)
+        assert err.value.byte_offset == header + 8 * 5
+
+    def test_broken_layer_chain_rejected(self, tmp_path):
+        path = self._rewrite(tmp_path, 2, [(10, 4), (5, 2)])
+        with pytest.raises(FieldFormatError, match="chain"):
             load_checkpoint(path)

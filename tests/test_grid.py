@@ -67,6 +67,16 @@ def test_medium_rejects_nonpositive_velocity():
         Medium(g, v, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_medium_rejects_bad_background(bad):
+    g = Grid2D(nz=3, nx=3, dz=0.1, dx=0.1)
+    v = np.ones((3, 3))
+    with pytest.raises(ValueError, match="omega"):
+        Medium(g, v, 1.0, bad)
+    with pytest.raises(ValueError, match="v0"):
+        Medium(g, v, bad, 1.0)
+
+
 def test_gaussian_lens_slow_lens_has_positive_delta_m():
     g = Grid2D(nz=21, nx=21, dz=0.05, dx=0.05)
     med = gaussian_lens_medium(g, 1.0, 2 * np.pi, contrast=-0.1, sigma=0.2)
@@ -199,6 +209,22 @@ class TestVelocityModelIO:
         del meta["omega"]
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ConfigError, match="omega"):
+            read_velocity_model(raw, sidecar)
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("omega", float("nan"), "omega"),
+        ("v0", -1.0, "v0"),
+        ("dz", 0.0, "dz"),
+        ("nz", "five", "five"),
+    ])
+    def test_sidecar_bad_value_rejected(self, tmp_path, key, value, match):
+        med = self._medium()
+        raw, sidecar = tmp_path / "v.f32", tmp_path / "v.json"
+        write_velocity_model(med, raw, sidecar)
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match=match):
             read_velocity_model(raw, sidecar)
 
     def test_size_mismatch_reports_byte_offset(self, tmp_path):

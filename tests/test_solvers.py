@@ -30,14 +30,10 @@ class ScalarView:
         self.b = ComplexField(self.grid, np.full((2, 2), complex(b)))
 
     def apply_A(self, u):
-        values = u.values if isinstance(u, ComplexField) else u
-        out = self.a * values
-        return ComplexField(self.grid, out) if isinstance(u, ComplexField) else out
+        return self.a * u
 
     def apply_AH(self, u):
-        values = u.values if isinstance(u, ComplexField) else u
-        out = np.conj(self.a) * values
-        return ComplexField(self.grid, out) if isinstance(u, ComplexField) else out
+        return np.conj(self.a) * u
 
 
 class TestSolveDirect:
@@ -122,11 +118,32 @@ class TestBornOnLens:
         assert all(t >= 0.0 for t in ms)
 
 
+@pytest.mark.parametrize("solve", [
+    born_iterate, lambda view, **kw: landweber_iterate(view, eta=0.5, **kw),
+], ids=["born", "landweber"])
+class TestIterationArguments:
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_below_one_rejected(self, solve, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(ScalarView(0.5, 1.0), max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, solve, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve(ScalarView(0.5, 1.0), tol=tol)
+
+
 class TestLandweber:
     def test_negative_step_rejected(self):
         view = ScalarView(0.5, 1.0)
         with pytest.raises(ValueError):
             landweber_iterate(view, eta=-0.1)
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_step_rejected(self, eta):
+        view = ScalarView(0.5, 1.0)
+        with pytest.raises(ValueError, match="eta"):
+            landweber_iterate(view, eta=eta)
 
     def test_zero_step_stalls_at_max_iters(self):
         view = ScalarView(0.5, 1.0)

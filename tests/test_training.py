@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from gihelm import (
+    Grid2D,
     NeuralField,
     NonFiniteLossError,
+    SourceSpec,
     TrainConfig,
     background_field,
+    build_kernel,
     build_pool,
+    gaussian_lens_medium,
     gi_loss,
     lambda_at,
+    linear_system_view,
     load_checkpoint,
     nmse,
     pde_loss,
+    solve_direct,
+    taper_perturbation,
     train,
 )
 from gihelm.grid import normalize_points
@@ -26,7 +33,7 @@ from gihelm.training import (
     write_rows_csv,
 )
 
-from util import make_lens
+from util import FixedGridField, make_lens, random_field_values
 
 
 def tiny_config(**kw):
@@ -179,6 +186,36 @@ class TestGiLoss:
             net.set_flat(theta)
             assert grad[e] == pytest.approx((up - dn) / (2 * h), rel=1e-5)
 
+    def test_trivial_solution_is_mean_background_power(self):
+        medium, kernel, source, u0 = make_lens(10, 12, contrast=-0.2)
+        loss, _, _ = gi_loss(FixedGridField(-u0.values), kernel, medium, u0)
+        want = float(np.mean(np.abs(u0.values) ** 2))
+        assert loss == pytest.approx(want, rel=1e-14)
+
+    def test_zero_at_exact_solution(self):
+        medium, kernel, source, u0 = make_lens(10, 10, contrast=-0.1)
+        us = solve_direct(linear_system_view(kernel, medium, u0))
+        scale = float(np.mean(np.abs(us.values) ** 2))
+        loss, _, _ = gi_loss(FixedGridField(us.values), kernel, medium, u0)
+        assert loss < 1e-20 * scale
+
+    def test_observes_interior_only(self):
+        g = Grid2D(nz=10, nx=10, dz=0.1, dx=0.1)
+        med = gaussian_lens_medium(g, 1.0, 2 * np.pi, contrast=-0.2, sigma=0.25)
+        big = taper_perturbation(med, pad_cells=4, taper_width_cells=3)
+        ker = build_kernel(big.grid, big.k0)
+        u0 = background_field(big, SourceSpec((0.3, 0.5)))
+        rng = np.random.default_rng(9)
+        us = random_field_values(rng, big.grid.shape)
+
+        loss, _, _ = gi_loss(FixedGridField(us), ker, big, u0)
+        # the pad scatters but is not observed: compare against a
+        # hand-built mean over the interior block of A us + b - us
+        view = linear_system_view(ker, big, u0)
+        diff = (view.apply_A(us) + view.b.values - us)[big.interior]
+        assert diff.shape == (10, 10)
+        assert loss == pytest.approx(float(np.mean(np.abs(diff) ** 2)), rel=1e-14)
+
 
 class MockAnalyticField:
     """Duck-typed field with prescribed values and normalized Laplacian."""
@@ -304,6 +341,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tiny_config(lambda_max=-0.1)
 
+    @pytest.mark.parametrize("key,value", [
+        ("width", 0), ("k_bands", 0), ("n_hidden", 0), ("n_x", 0),
+        ("lr0", float("nan")), ("lambda_max", float("nan")),
+        ("alpha", float("inf")),
+    ])
+    def test_rejects_bad_numbers(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            tiny_config(**{key: value})
+
 
 class TestTrainLoop:
     def _problem(self):
@@ -369,6 +415,27 @@ class TestTrainLoop:
         assert path is not None and str(tmp_path) in str(path)
         saved = load_checkpoint(path)
         assert np.all(np.isfinite(saved.get_flat()))
+
+    def test_nonfinite_gradient_aborts_with_checkpoint(self, tmp_path, monkeypatch):
+        import gihelm.training
+
+        medium, kernel, source, _ = self._problem()
+        real_gi_loss = gihelm.training.gi_loss
+        calls = []
+
+        def poisoned(*args, **kw):
+            loss, grad, us = real_gi_loss(*args, **kw)
+            calls.append(args[0].get_flat())
+            if len(calls) == 3:
+                grad = grad.copy()
+                grad[0] = np.inf
+            return loss, grad, us
+
+        monkeypatch.setattr(gihelm.training, "gi_loss", poisoned)
+        with pytest.raises(NonFiniteLossError, match="gradient") as err:
+            train(tiny_config(epochs=5), medium, kernel, source, workdir=tmp_path)
+        saved = load_checkpoint(err.value.checkpoint_path)
+        np.testing.assert_array_equal(saved.get_flat(), calls[-1])
 
     def test_workdir_csvs(self, tmp_path):
         medium, kernel, source, u0 = self._problem()
