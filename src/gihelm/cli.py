@@ -468,10 +468,7 @@ def cmd_train(args):
 
     save_checkpoint(net, out / "checkpoint.gihc")
     g = medium.grid
-    zz, xx = np.meshgrid(g.z_coords(), g.x_coords(), indexing="ij")
-    points = normalize_points(
-        np.column_stack([zz.ravel(), xx.ravel()]), medium.omega, medium.v0
-    )
+    points = normalize_points(g.node_coords(), medium.omega, medium.v0)
     predicted = ComplexField(g, net.forward(points).reshape(g.shape))
     write_field(out / "predicted.gihf", predicted)
 

@@ -4,15 +4,19 @@ The network maps wavelength-normalized coordinates (z~, x~) through a
 sinusoidal feature encoding and a stack of sine-activated dense layers
 to two real outputs, read as (Re Us, Im Us).  Spatial derivatives are
 propagated analytically alongside the values: each sine layer
-y = sin(W x + b) carries
+y = sin(W x + b) carries the first derivatives x_z, x_x of its input
+along z~ and x~, and the input's Laplacian h = x_zz + x_xx as one array:
 
-    y'  = cos(p) (W x'),        p = W x + b
-    y'' = -sin(p) (W x')^2 + cos(p) (W x'')
+    y_z = cos(p) (W x_z),   y_x = cos(p) (W x_x),   p = W x + b
+    h'  = cos(p) (W h) - sin(p) ((W x_z)^2 + (W x_x)^2)
 
-per input direction, which yields the exact Laplacian for the
-differential residual without finite differences.  The reverse passes
-below backpropagate through this derivative propagation as well, so
-losses may touch values and Laplacians alike.
+This is exact because a layer is linear in h, and yields the exact
+Laplacian for the differential residual without finite differences.
+The reverse passes below backpropagate through this derivative
+propagation as well, so losses may touch values and Laplacians alike.
+
+All parameters live in one flat float64 vector (param_layout): layer by
+layer, the row-major (fan_in, fan_out) weight matrix and then the bias.
 """
 
 import struct
@@ -92,6 +96,28 @@ def encode_with_derivs(points, k_bands):
     return f, gz, gx, hz, hx
 
 
+def param_layout(dims, flat=None):
+    """The flat parameter layout of a network with layer shapes dims.
+
+    Returns (n, weights, biases): the vector length n and, when a flat
+    vector of that length is given, per-layer weight and bias views into
+    it (the lists are empty otherwise, so a layer table can be sized
+    before any vector is made).
+    """
+    n = sum(fi * fo + fo for fi, fo in dims)
+    weights, biases = [], []
+    if flat is not None:
+        if flat.shape != (n,):
+            raise ValueError(f"expected {n} values, got {flat.shape}")
+        at = 0
+        for fi, fo in dims:
+            weights.append(flat[at:at + fi * fo].reshape(fi, fo))
+            at += fi * fo
+            biases.append(flat[at:at + fo])
+            at += fo
+    return n, weights, biases
+
+
 def _sincos(p, cos_out=None):
     """sin(p) and cos(p) of a layer's pre-activation, both needed per layer.
 
@@ -107,6 +133,7 @@ class NeuralField:
 
     Architecture is fixed at construction; parameters are mutable through
     set_flat so one optimizer state can drive the object in place.
+    weights[i] and biases[i] are views into the one parameter vector.
     """
 
     def __init__(self, weights, biases, k_bands):
@@ -126,8 +153,11 @@ class NeuralField:
                 raise ValueError(f"layer {i}: fan-in does not chain")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i}: non-finite parameters")
-        self.weights = [np.array(w, dtype=np.float64) for w in weights]
-        self.biases = [np.array(b, dtype=np.float64) for b in biases]
+        dims = [w.shape for w in weights]
+        self._flat = np.empty(param_layout(dims)[0])
+        _, self.weights, self.biases = param_layout(dims, self._flat)
+        for dst, src in zip(self.weights + self.biases, [*weights, *biases]):
+            dst[...] = src
 
     @classmethod
     def init(cls, seed, width=128, k_bands=3, n_hidden=5):
@@ -162,14 +192,10 @@ class NeuralField:
 
     @property
     def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self._flat.size
 
     def get_flat(self):
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self._flat.copy()
 
     def set_flat(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
@@ -177,25 +203,13 @@ class NeuralField:
             raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
         if not np.isfinite(flat).all():
             raise ValueError("non-finite parameters")
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
-            b[...] = flat[pos:pos + b.size]
-            pos += b.size
+        self._flat[...] = flat
 
-    def _unpack_like_params(self, flat):
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} values, got {flat.shape}")
-        out, pos = [], 0
-        for w, b in zip(self.weights, self.biases):
-            dw = flat[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
-            db = flat[pos:pos + b.size]
-            pos += b.size
-            out.append((dw, db))
-        return out
+    def _param_like(self):
+        """A new flat vector and its per-layer (weight, bias) views."""
+        flat = np.empty(self.n_params)
+        _, weights, biases = param_layout(self.layer_dims, flat)
+        return flat, weights, biases
 
     # -- value ------------------------------------------------------------
 
@@ -236,24 +250,19 @@ class NeuralField:
 
     def _backward_from_cache(self, cache, d_out):
         """Parameter gradient of sum(d_out * output) given a forward cache."""
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.weights)
+        grad, grads_w, grads_b = self._param_like()
         x_last = cache[-1][0]
-        grads_w[-1] = x_last.T @ d_out
-        grads_b[-1] = d_out.sum(axis=0)
+        np.matmul(x_last.T, d_out, out=grads_w[-1])
+        d_out.sum(axis=0, out=grads_b[-1])
         dx = d_out @ self.weights[-1].T
         for layer in range(self.n_hidden - 1, -1, -1):
             x_in, _, c = cache[layer]
             dp = dx * c
-            grads_w[layer] = x_in.T @ dp
-            grads_b[layer] = dp.sum(axis=0)
+            np.matmul(x_in.T, dp, out=grads_w[layer])
+            dp.sum(axis=0, out=grads_b[layer])
             if layer > 0:
                 dx = dp @ self.weights[layer].T
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.ravel())
-            parts.append(gb)
-        return np.concatenate(parts)
+        return grad
 
     def param_gradient(self, points, adjoint):
         """Gradient of Re<adjoint, Us> = sum_j (Re a_j Re u_j + Im a_j Im u_j).
@@ -289,23 +298,24 @@ class NeuralField:
 
     def _laplacian_full(self, points, keep_cache):
         x, gz, gx, hz, hx = encode_with_derivs(points, self.k_bands)
+        h = hz + hx
         cache = [] if keep_cache else None
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             p = x @ w + b
             s, c = _sincos(p)
             gpz, gpx = gz @ w, gx @ w
-            hpz, hpx = hz @ w, hx @ w
+            hp = h @ w
             if keep_cache:
-                cache.append((x, gz, gx, hz, hx, s, c, gpz, gpx, hpz, hpx))
+                cache.append((x, gz, gx, h, s, c, gpz, gpx, hp))
             x = s
             gz, gx = c * gpz, c * gpx
-            hz, hx = c * hpz - s * gpz**2, c * hpx - s * gpx**2
+            h = c * hp - s * (gpz**2 + gpx**2)
         w_out = self.weights[-1]
         out = x @ w_out + self.biases[-1]
         g2z, g2x = gz @ w_out, gx @ w_out
-        h2 = (hz + hx) @ w_out
+        h2 = h @ w_out
         if keep_cache:
-            cache.append((x, gz, gx, hz, hx, None, None, None, None, None, None))
+            cache.append((x, h))
         value = out[:, 0] + 1j * out[:, 1]
         grad = np.stack([g2z[:, 0] + 1j * g2z[:, 1], g2x[:, 0] + 1j * g2x[:, 1]], axis=1)
         lap = h2[:, 0] + 1j * h2[:, 1]
@@ -314,7 +324,7 @@ class NeuralField:
     def laplacian_param_gradient(self, cache, value_adjoint, lap_adjoint):
         """Gradient of Re<value_adjoint, Us> + Re<lap_adjoint, lap Us>.
 
-        Backpropagates through the (value, first, second derivative)
+        Backpropagates through the (value, first derivative, Laplacian)
         propagation of _laplacian_full, so the Laplacian's dependence on
         every layer's weights is accounted for exactly.
         """
@@ -322,61 +332,53 @@ class NeuralField:
         l_adj = np.asarray(lap_adjoint, dtype=np.complex128).ravel()
         d_val = np.column_stack([v_adj.real, v_adj.imag])
         d_lap = np.column_stack([l_adj.real, l_adj.imag])
+        grad, grads_w, grads_b = self._param_like()
 
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.weights)
-
-        x, gz, gx, hz, hx = cache[-1][:5]
+        x, h = cache[-1]
         w_out = self.weights[-1]
-        # out = x W + b; lap_out = (hz + hx) W: first derivatives feed the
-        # output only through deeper layers, which do not exist here.
-        grads_w[-1] = x.T @ d_val + (hz + hx).T @ d_lap
-        grads_b[-1] = d_val.sum(axis=0)
+        # out = x W + b; lap_out = h W: first derivatives feed the output
+        # only through deeper layers, which do not exist here.
+        np.matmul(x.T, d_val, out=grads_w[-1])
+        grads_w[-1] += h.T @ d_lap
+        d_val.sum(axis=0, out=grads_b[-1])
         dx = d_val @ w_out.T
         dgz = np.zeros_like(dx)
         dgx = np.zeros_like(dx)
-        dhz = d_lap @ w_out.T
-        dhx = dhz.copy()
+        dh = d_lap @ w_out.T
 
         for layer in range(self.n_hidden - 1, -1, -1):
-            x, gz, gx, hz, hx, s, c, gpz, gpx, hpz, hpx = cache[layer]
+            x, gz, gx, h, s, c, gpz, gpx, hp = cache[layer]
             w = self.weights[layer]
-            # outputs were: x' = s; g' = c gp; h' = c hp - s gp^2
+            # outputs were: x' = s; g' = c gp; h' = c hp - s (gpz^2 + gpx^2)
             dp = dx * c
-            dp += dgz * (-s * gpz) + dgx * (-s * gpx)
-            dp += dhz * (-c * gpz**2 - s * hpz) + dhx * (-c * gpx**2 - s * hpx)
-            dgpz = dgz * c - 2.0 * dhz * s * gpz
-            dgpx = dgx * c - 2.0 * dhx * s * gpx
-            dhpz = dhz * c
-            dhpx = dhx * c
-            grads_w[layer] = (x.T @ dp + gz.T @ dgpz + gx.T @ dgpx
-                              + hz.T @ dhpz + hx.T @ dhpx)
-            grads_b[layer] = dp.sum(axis=0)
+            dp -= s * (dgz * gpz + dgx * gpx + dh * hp)
+            dp -= dh * c * (gpz**2 + gpx**2)
+            ds = 2.0 * dh * s
+            dgpz = dgz * c - ds * gpz
+            dgpx = dgx * c - ds * gpx
+            dhp = dh * c
+            np.matmul(x.T, dp, out=grads_w[layer])
+            grads_w[layer] += gz.T @ dgpz + gx.T @ dgpx + h.T @ dhp
+            dp.sum(axis=0, out=grads_b[layer])
             if layer > 0:
                 dx = dp @ w.T
                 dgz, dgx = dgpz @ w.T, dgpx @ w.T
-                dhz, dhx = dhpz @ w.T, dhpx @ w.T
-
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.ravel())
-            parts.append(gb)
-        return np.concatenate(parts)
+                dh = dhp @ w.T
+        return grad
 
     # -- parameter tangents -------------------------------------------------
 
     def jvp(self, points, tangent):
         """Directional derivative of Us along a flat parameter tangent."""
-        deltas = self._unpack_like_params(tangent)
+        _, dws, dbs = param_layout(self.layer_dims, np.asarray(tangent, dtype=np.float64))
         x = encode(points, self.k_bands)
         dx = np.zeros_like(x)
-        for (w, b), (dw, db) in zip(zip(self.weights[:-1], self.biases[:-1]), deltas[:-1]):
+        for w, b, dw, db in zip(self.weights[:-1], self.biases[:-1], dws, dbs):
             p = x @ w + b
             s, c = _sincos(p)
             dp = x @ dw + db + dx @ w
             x, dx = s, c * dp
-        dw, db = deltas[-1]
-        d_out = x @ dw + db + dx @ self.weights[-1]
+        d_out = x @ dws[-1] + dbs[-1] + dx @ self.weights[-1]
         return d_out[:, 0] + 1j * d_out[:, 1]
 
 
@@ -477,7 +479,7 @@ def load_checkpoint(path):
         raise FieldFormatError(
             f"checkpoint k_bands {k_bands} needs a first-layer fan-in of "
             f"{feature_dim}, got {dims[0][0]}", byte_offset=head_size)
-    n_params = sum(fi * fo + fo for fi, fo in dims)
+    n_params, _, _ = param_layout(dims)
     expected = pos + 8 * n_params
     if len(blob) != expected:
         raise FieldFormatError(
@@ -488,12 +490,7 @@ def load_checkpoint(path):
     if bad.size:
         raise FieldFormatError("checkpoint holds a non-finite parameter",
                                byte_offset=pos + 8 * int(bad[0]))
-    weights, biases, at = [], [], 0
-    for fi, fo in dims:
-        weights.append(flat[at:at + fi * fo].reshape(fi, fo))
-        at += fi * fo
-        biases.append(flat[at:at + fo])
-        at += fo
+    _, weights, biases = param_layout(dims, flat)
     try:
         return NeuralField(weights, biases, k_bands)
     except ValueError as exc:

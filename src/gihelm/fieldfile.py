@@ -84,6 +84,10 @@ def read_field(path) -> ComplexField:
         )
 
     pairs = np.frombuffer(raw, dtype="<f4", count=2 * nz * nx, offset=HEADER_SIZE)
+    bad = np.flatnonzero(~np.isfinite(pairs))
+    if bad.size:
+        raise FieldFormatError("payload holds a non-finite value",
+                               byte_offset=HEADER_SIZE + 4 * int(bad[0]))
     pairs = pairs.reshape(nz, nx, 2).astype(np.float64)
     values = pairs[..., 0] + 1j * pairs[..., 1]
     grid = Grid2D(nz=nz, nx=nx, dz=dz, dx=dx, z0=z0, x0=x0)

@@ -33,8 +33,11 @@ class Grid2D:
     def __post_init__(self):
         if self.nz < 2 or self.nx < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nz}x{self.nx}")
-        if self.dz <= 0 or self.dx <= 0:
-            raise ValueError(f"grid spacing must be positive, got dz={self.dz}, dx={self.dx}")
+        if not (np.isfinite(self.dz) and np.isfinite(self.dx) and self.dz > 0 and self.dx > 0):
+            raise ValueError(f"grid spacing must be finite and positive, "
+                             f"got dz={self.dz}, dx={self.dx}")
+        if not (np.isfinite(self.z0) and np.isfinite(self.x0)):
+            raise ValueError(f"grid origin must be finite, got z0={self.z0}, x0={self.x0}")
 
     @property
     def shape(self):
@@ -273,19 +276,28 @@ def read_velocity_model(raw_path, sidecar_path):
     """Load a medium from a raw float32 grid file and its JSON sidecar."""
     try:
         meta = json.loads(Path(sidecar_path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
         raise ConfigError(f"sidecar {sidecar_path} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"sidecar {sidecar_path}: top level must be a JSON object, "
+                          f"got {type(meta).__name__}")
     missing = [k for k in SIDECAR_KEYS if k not in meta]
     if missing:
         raise ConfigError(f"sidecar {sidecar_path} missing keys: {missing}")
     unknown = [k for k in meta if k not in SIDECAR_KEYS]
     if unknown:
         raise ConfigError(f"sidecar {sidecar_path} has unknown keys: {unknown}")
+    for key in SIDECAR_KEYS:
+        integer = key in ("nz", "nx")
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise ConfigError(f"sidecar {sidecar_path}: '{key}' must be a JSON "
+                              f"{'integer' if integer else 'number'}, got {value!r}")
 
     try:
-        grid = Grid2D(int(meta["nz"]), int(meta["nx"]), float(meta["dz"]),
+        grid = Grid2D(meta["nz"], meta["nx"], float(meta["dz"]),
                       float(meta["dx"]), float(meta["z0"]), float(meta["x0"]))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(f"sidecar {sidecar_path}: {exc}") from exc
     blob = Path(raw_path).read_bytes()
     expected = 4 * grid.n
@@ -296,7 +308,7 @@ def read_velocity_model(raw_path, sidecar_path):
     velocity = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(grid.shape)
     try:
         return Medium(grid, velocity, float(meta["v0"]), float(meta["omega"]))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(f"velocity model {raw_path}: {exc}") from exc
 
 

@@ -166,9 +166,7 @@ def gi_loss(field, kernel, medium, u0, grid_features=None, buffers=None):
 
 def grid_encoding(field, medium):
     """Encoded features of the medium's grid nodes (cache for gi_loss)."""
-    g = medium.grid
-    zz, xx = np.meshgrid(g.z_coords(), g.x_coords(), indexing="ij")
-    pts = np.column_stack([zz.ravel(), xx.ravel()])
+    pts = medium.grid.node_coords()
     return encode(normalize_points(pts, medium.omega, medium.v0), field.k_bands)
 
 

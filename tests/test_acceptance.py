@@ -367,6 +367,7 @@ def scaled_gi_run(tmp_path_factory):
     }
 
 
+@pytest.mark.slow
 def test_08_scaled_training_run(scaled_gi_run, tmp_path):
     report = scaled_gi_run["report"]
     assert report.epochs_run <= 30000
@@ -388,6 +389,7 @@ def test_08_scaled_training_run(scaled_gi_run, tmp_path):
         f"hybrid nmse {hybrid.nmse:.4f} vs gi {report.nmse:.4f}")
 
 
+@pytest.mark.slow
 def test_10_training_is_bit_reproducible(scaled_gi_run, tmp_path):
     medium, kernel, source = (scaled_gi_run[k] for k in
                               ("medium", "kernel", "source"))

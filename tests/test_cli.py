@@ -267,6 +267,36 @@ class TestConfigErrors:
         assert key in res.stderr
         assert not (out / "solution.gihf").exists()
 
+    @pytest.mark.parametrize("key", ["dz", "dx"])
+    def test_nan_grid_spacing_names_the_spacing(self, tmp_path, key):
+        cfg = lens_config(-0.10, solve={"method": "born"})
+        cfg["grid"][key] = float("nan")
+        path = write_config(tmp_path, cfg)
+        res = run_cli("solve", "--config", path, "--out-dir", tmp_path / "out")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: grid:")
+        assert f"{key}=nan" in res.stderr
+
+    def test_malformed_sidecar_names_the_sidecar(self, tmp_path):
+        grid = Grid2D(nz=6, nx=6, dz=0.2, dx=0.2)
+        write_velocity_model(homogeneous_medium(grid, 1.0, 2 * np.pi),
+                             tmp_path / "v.bin", tmp_path / "v.json")
+        cfg = {
+            "frequency_hz": 1.0,
+            "medium": {"kind": "file", "path": "v.bin", "sidecar": "v.json"},
+            "source": {"position": [0.3, 0.3]},
+            "solve": {"method": "direct"},
+        }
+        path = write_config(tmp_path, cfg)
+        meta = json.loads((tmp_path / "v.json").read_text())
+        for sidecar, key in ((5, "JSON object"), ({**meta, "nz": 4.7}, "'nz'")):
+            (tmp_path / "v.json").write_text(json.dumps(sidecar))
+            res = run_cli("solve", "--config", path, "--out-dir", tmp_path / "out")
+            assert res.returncode == 1
+            assert res.stderr.startswith("error:")
+            assert "v.json" in res.stderr and key in res.stderr
+            assert "Traceback" not in res.stderr
+
     def test_nan_frequency_on_a_file_medium_names_the_key(self, tmp_path):
         grid = Grid2D(nz=6, nx=6, dz=0.2, dx=0.2)
         write_velocity_model(homogeneous_medium(grid, 1.0, 2 * np.pi),

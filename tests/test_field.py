@@ -103,6 +103,62 @@ class TestInit:
         assert out.shape == (5,) and out.dtype == np.complex128
 
 
+class TestParamLayout:
+    """One flat vector: layer by layer, the row-major weight then the bias."""
+
+    def test_set_flat_shows_in_weight_and_bias_views(self):
+        net = small_net()
+        weights, biases = net.weights, net.biases
+        flat = np.arange(net.n_params, dtype=np.float64)
+        net.set_flat(flat)
+        at = 0
+        for w, b in zip(weights, biases):
+            np.testing.assert_array_equal(w, flat[at:at + w.size].reshape(w.shape))
+            at += w.size
+            np.testing.assert_array_equal(b, flat[at:at + b.size])
+            at += b.size
+        assert at == net.n_params
+        net.weights[1][2, 3] = -1.0
+        net.biases[0][4] = -2.0
+        changed = np.flatnonzero(net.get_flat() != flat)
+        b0 = net.weights[0].size  # where biases[0] starts
+        w1 = b0 + net.biases[0].size  # where weights[1] starts
+        assert changed.tolist() == [b0 + 4, w1 + 2 * net.weights[1].shape[1] + 3]
+
+    @pytest.mark.parametrize("backward", ["value", "laplacian"])
+    def test_gradient_entries_follow_get_flat(self, backward):
+        net = small_net(seed=21)
+        rng = np.random.default_rng(22)
+        pts = rand_points(rng, 5)
+        v_adj = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        l_adj = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        if backward == "value":
+            g = net.param_gradient(pts, v_adj)
+
+            def pairing(n):
+                return float(np.real(np.vdot(v_adj, n.forward(pts))))
+        else:
+            g = net.laplacian_param_gradient(net.laplacian_with_cache(pts)[2], v_adj, l_adj)
+
+            def pairing(n):
+                value, _, lap = n.laplacian(pts)
+                return float(np.real(np.vdot(v_adj, value) + np.vdot(l_adj, lap)))
+
+        h = 1e-6
+        for arr in [a for wb in zip(net.weights, net.biases) for a in wb]:
+            idx = np.unravel_index(np.argmax(np.abs(arr)), arr.shape)
+            before, kept = net.get_flat(), arr[idx]
+            arr[idx] = kept + h
+            k = np.flatnonzero(net.get_flat() != before)
+            up = pairing(net)
+            arr[idx] = kept - h
+            dn = pairing(net)
+            arr[idx] = kept
+            assert k.size == 1
+            np.testing.assert_allclose(g[k[0]], (up - dn) / (2 * h), rtol=1e-5,
+                                       atol=1e-6 * np.abs(g).max())
+
+
 def _fd_param_grad(net, loss_fn, entries, h=1e-6):
     theta = net.get_flat()
     grad = np.zeros(len(entries))

@@ -99,6 +99,14 @@ class TestMalformedFiles:
         self._expect(tmp_path, _mutate(blob, 30, struct.pack("<d", float("inf"))), 30)
         self._expect(tmp_path, _mutate(blob, 38, struct.pack("<d", float("-inf"))), 38)
 
+    def test_non_finite_payload_value(self, tmp_path, good):
+        _, blob = good
+        at = HEADER_SIZE + 4 * 3  # imaginary part of the second node
+        self._expect(tmp_path, _mutate(blob, at, struct.pack("<f", float("nan"))), at,
+                     match="non-finite")
+        self._expect(tmp_path, _mutate(blob, HEADER_SIZE, struct.pack("<f", float("inf"))),
+                     HEADER_SIZE, match="non-finite")
+
     def test_truncated_payload(self, tmp_path, good):
         _, blob = good
         self._expect(tmp_path, blob[:-8], len(blob) - 8, match="truncated")

@@ -41,6 +41,18 @@ def test_grid_rejects_degenerate_axes():
         Grid2D(nz=4, nx=4, dz=0.1, dx=-0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_grid_rejects_non_finite_spacing_and_origin(bad):
+    with pytest.raises(ValueError, match=f"dz={bad}"):
+        Grid2D(nz=2, nx=2, dz=bad, dx=1.0)
+    with pytest.raises(ValueError, match=f"dx={bad}"):
+        Grid2D(nz=2, nx=2, dz=1.0, dx=bad)
+    with pytest.raises(ValueError, match=f"z0={bad}"):
+        Grid2D(nz=2, nx=2, dz=1.0, dx=1.0, z0=bad)
+    with pytest.raises(ValueError, match=f"x0={bad}"):
+        Grid2D(nz=2, nx=2, dz=1.0, dx=1.0, x0=bad)
+
+
 def test_grid_contains():
     g = Grid2D(nz=5, nx=5, dz=0.1, dx=0.1)
     assert g.contains(0.0, 0.0)
@@ -216,6 +228,12 @@ class TestVelocityModelIO:
         ("v0", -1.0, "v0"),
         ("dz", 0.0, "dz"),
         ("nz", "five", "five"),
+        ("nz", 4.7, r"v\.json: 'nz' must be a JSON integer, got 4\.7"),
+        ("nx", 5.0, r"v\.json: 'nx' must be a JSON integer"),
+        ("nz", True, r"v\.json: 'nz' must be a JSON integer"),
+        ("dz", True, r"v\.json: 'dz' must be a JSON number, got True"),
+        ("v0", "2.0", r"v\.json: 'v0' must be a JSON number"),
+        ("dz", 10**400, r"v\.json: int too large to convert to float"),
     ])
     def test_sidecar_bad_value_rejected(self, tmp_path, key, value, match):
         med = self._medium()
@@ -226,6 +244,22 @@ class TestVelocityModelIO:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ConfigError, match=match):
             read_velocity_model(raw, sidecar)
+
+    @pytest.mark.parametrize("text,match", [
+        (b"5", "top level must be a JSON object, got int"),
+        (b"[1, 2]", "top level must be a JSON object, got list"),
+        (b"null", "top level must be a JSON object, got NoneType"),
+        (b"\xff{}", "not valid JSON.*utf-8"),
+        (b'{"nz": 1' + b"0" * 5000 + b"}", "not valid JSON.*limit"),
+    ])
+    def test_sidecar_that_is_not_a_json_object_rejected(self, tmp_path, text, match):
+        med = self._medium()
+        raw, sidecar = tmp_path / "v.f32", tmp_path / "v.json"
+        write_velocity_model(med, raw, sidecar)
+        sidecar.write_bytes(text)
+        with pytest.raises(ConfigError, match=match) as err:
+            read_velocity_model(raw, sidecar)
+        assert str(sidecar) in str(err.value)
 
     def test_size_mismatch_reports_byte_offset(self, tmp_path):
         med = self._medium()
