@@ -23,7 +23,6 @@ from .grid import (
     gaussian_lens_medium,
     homogeneous_medium,
     layered_medium,
-    normalize_coords,
     normalize_points,
     read_velocity_model,
     taper_perturbation,
@@ -34,8 +33,6 @@ from .kernel import (
     background_field,
     build_kernel,
     green0,
-    hankel_h0_second,
-    next_5smooth,
     self_term,
 )
 from .operators import (
@@ -48,7 +45,6 @@ from .operators import (
 )
 from .solvers import (
     IterationTrace,
-    bisect_to_rho,
     born_iterate,
     estimate_rho,
     estimate_sigma_max,
@@ -56,10 +52,10 @@ from .solvers import (
     solve_direct,
 )
 from .field import (
-    EncodingConfig,
     NeuralField,
     adam_step,
     encode,
+    feature_dim,
     load_checkpoint,
     lr_at,
     ntk_apply,

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GihelmError, NonFiniteLossError
-from .fieldfile import read_field, write_field
+from .fieldfile import read_field, write_field, write_rows_csv
 from .grid import (
     ComplexField,
     Grid2D,
@@ -56,7 +56,7 @@ from .solvers import (
     solve_direct,
 )
 from .field import save_checkpoint
-from .training import TrainConfig, build_pool, train, write_rows_csv
+from .training import TrainConfig, build_pool, train
 
 _REQUIRED = object()
 
@@ -108,7 +108,10 @@ def _field_of(sec, where, key, kind, default=_REQUIRED, choices=None, minimum=No
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"'{where}.{key}' must be a number, got {val!r}")
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:  # a JSON integer beyond float range
+            raise ConfigError(f"'{where}.{key}' is beyond float range, got {val!r}") from None
     elif kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"'{where}.{key}' must be an integer, got {val!r}")
@@ -120,21 +123,31 @@ def _field_of(sec, where, key, kind, default=_REQUIRED, choices=None, minimum=No
             raise ConfigError(f"'{where}.{key}' must be a list, got {val!r}")
     if choices is not None and val not in choices:
         raise ConfigError(f"'{where}.{key}' must be one of {choices}, got {val!r}")
-    if minimum is not None and not (math.isfinite(val) and val >= minimum):
+    if minimum is not None and not minimum <= val < math.inf:
         raise ConfigError(f"'{where}.{key}' must be finite and >= {minimum}, got {val!r}")
     return val
 
 
-def _pair(sec, where, key, default=_REQUIRED):
+def _is_finite_number(val):
+    """A JSON number (not a bool) within float range: no NaN, inf or huge integer."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
+def _numbers(sec, where, key, count=None, default=_REQUIRED):
+    """A JSON list of finite numbers (exactly count of them, if given) as floats."""
     val = _field_of(sec, where, key, list, default=default)
-    if val is default and val is not _REQUIRED:
+    if val is default:
         return val
-    if len(val) != 2 or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-        for v in val
-    ):
-        raise ConfigError(f"'{where}.{key}' must be a pair of finite numbers, got {val!r}")
-    return float(val[0]), float(val[1])
+    if count not in (None, len(val)) or not all(map(_is_finite_number, val)):
+        what = "a pair" if count == 2 else "a list"
+        raise ConfigError(f"'{where}.{key}' must be {what} of finite numbers, got {val!r}")
+    return [float(v) for v in val]
+
+
+def _pair(sec, where, key, default=_REQUIRED):
+    val = _numbers(sec, where, key, count=2, default=default)
+    return val if val is default else tuple(val)
 
 
 def _omega(cfg):
@@ -223,8 +236,8 @@ def _build_medium(cfg, config_dir):
                 grid,
                 v0,
                 omega,
-                interfaces=_field_of(sec, "medium", "interfaces", list),
-                velocities=_field_of(sec, "medium", "velocities", list),
+                interfaces=_numbers(sec, "medium", "interfaces"),
+                velocities=_numbers(sec, "medium", "velocities"),
             ),
             [],
         )
@@ -239,8 +252,7 @@ def _build_source(cfg):
     amp = sec.get("amplitude", 1.0)
     if isinstance(amp, list):
         amp = complex(*_pair(sec, "source", "amplitude"))
-    elif (isinstance(amp, bool) or not isinstance(amp, (int, float))
-          or not math.isfinite(amp)):
+    elif not _is_finite_number(amp):
         raise ConfigError(
             f"'source.amplitude' must be a finite number or [re, im] pair, got {amp!r}"
         )
@@ -273,8 +285,19 @@ def _build_problem(cfg, config_dir):
             f"'source.position' {list(source.position)} lies outside the grid "
             f"(z in [{grid.z0}, {grid.z0 + (grid.nz - 1) * grid.dz}], "
             f"x in [{grid.x0}, {grid.x0 + (grid.nx - 1) * grid.dx}])")
-    kernel = build_kernel(grid, medium.k0, mode=mode)
+    try:
+        kernel = build_kernel(grid, medium.k0, mode=mode)
+    except ValueError as exc:  # node offsets or cell size beyond float range
+        raise ConfigError(f"grid: kernel table: {exc}") from exc
     return medium, source, kernel, input_paths
+
+
+def _system(medium, source, kernel):
+    """The config's (I - A) us = b; a b beyond float range is a ConfigError."""
+    try:
+        return linear_system_view(kernel, medium, background_field(medium, source))
+    except ValueError as exc:
+        raise ConfigError(f"source and medium scales overflow b: {exc}") from exc
 
 
 _SOLVE_KEYS = {
@@ -311,9 +334,9 @@ def _build_train_config(cfg, medium, seed_override=None, epochs_override=None):
             # 1/(omega^2 m0): puts the PDE residual in field units so
             # lambda_max weighs it directly against the GI mismatch.
             scale = (medium.v0 / medium.omega) ** 2
-        elif isinstance(scale, bool) or not isinstance(scale, (int, float)):
+        elif not _is_finite_number(scale):
             raise ConfigError(
-                "'train.pde_residual_scale' must be a number or \"normalized\", "
+                "'train.pde_residual_scale' must be a finite number or \"normalized\", "
                 f"got {scale!r}"
             )
         kwargs["pde_residual_scale"] = float(scale)
@@ -392,8 +415,7 @@ def cmd_solve(args):
     method = _field_of(sec, "solve", "method", str, choices=sorted(_SOLVE_KEYS))
     _check_keys(sec, _SOLVE_KEYS[method], f"'solve' (method {method})")
 
-    u0 = background_field(medium, source)
-    view = linear_system_view(kernel, medium, u0)
+    view = _system(medium, source, kernel)
     seed = None
 
     if method == "direct":
@@ -409,7 +431,7 @@ def cmd_solve(args):
             tol=_field_of(sec, "solve", "tol", float, default=1e-12, minimum=0.0),
         )
     else:
-        seed = _field_of(sec, "solve", "seed", int, default=0)
+        seed = _field_of(sec, "solve", "seed", int, default=0, minimum=0)
         if args.seed_override is not None:
             seed = args.seed_override
         eta = sec.get("eta", "auto")
@@ -421,8 +443,7 @@ def cmd_solve(args):
                 seed=seed,
             )
             eta = 1.0 / sigma**2
-        elif (isinstance(eta, bool) or not isinstance(eta, (int, float))
-              or not (math.isfinite(eta) and eta >= 0)):
+        elif not (_is_finite_number(eta) and eta >= 0):
             raise ConfigError(
                 f"'solve.eta' must be a finite number >= 0 or \"auto\", got {eta!r}"
             )
@@ -458,9 +479,11 @@ def cmd_train(args):
 
     reference = None
     if ref_mode == "direct":
-        reference = solve_direct(
-            linear_system_view(kernel, medium, background_field(medium, source))
-        )
+        reference = solve_direct(_system(medium, source, kernel))
+        if not reference.values.any():
+            raise ConfigError("'train.reference' \"direct\" is identically zero on this "
+                              "medium (it scatters nothing), so nmse is undefined; "
+                              "use \"none\"")
 
     out = _out_dir(args)
     net, report = train(tcfg, medium, kernel, source,
@@ -547,8 +570,7 @@ def cmd_pool_dump(args):
                       tcfg.alpha, tcfg.eps_fraction,
                       np.random.default_rng(tcfg.seed))
     rows = [
-        (repr(float(z)), repr(float(x)), repr(float(dm)),
-         repr(float(u.real)), repr(float(u.imag)))
+        (float(z), float(x), float(dm), float(u.real), float(u.imag))
         for (z, x), dm, u in zip(pool.physical_points, pool.dm, pool.u0)
     ]
     out = _out_dir(args)
@@ -574,6 +596,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed_arg(text):
+    """--seed-override: an integer >= 0, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = _Parser(prog="gihelm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True,
@@ -584,7 +613,7 @@ def _build_parser():
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out-dir", default=".", help="output directory")
         if seed:
-            p.add_argument("--seed-override", type=int, default=None)
+            p.add_argument("--seed-override", type=_seed_arg, default=None)
         if epochs:
             p.add_argument("--epochs-override", type=int, default=None)
         p.set_defaults(func=func)

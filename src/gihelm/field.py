@@ -32,19 +32,11 @@ CHECKPOINT_MAGIC = b"GIHC"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class EncodingConfig:
-    """Sinusoidal feature bands: frequencies 2^k pi for k = 0..K-1."""
-
-    k_bands: int = 3
-
-    def __post_init__(self):
-        if self.k_bands < 1:
-            raise ValueError("k_bands must be >= 1")
-
-    @property
-    def feature_dim(self):
-        return 2 + 4 * self.k_bands
+def feature_dim(k_bands):
+    """Width of the encoding with frequency bands 2^k pi, k = 0..k_bands-1."""
+    if k_bands < 1:
+        raise ValueError(f"k_bands must be >= 1, got {k_bands}")
+    return 2 + 4 * k_bands
 
 
 def encode(points, k_bands):
@@ -55,7 +47,7 @@ def encode(points, k_bands):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     z, x = pts[:, 0], pts[:, 1]
-    feats = np.empty((pts.shape[0], 2 + 4 * k_bands))
+    feats = np.empty((pts.shape[0], feature_dim(k_bands)))
     feats[:, 0] = x
     feats[:, 1] = z
     for k in range(k_bands):
@@ -72,7 +64,7 @@ def encode_with_derivs(points, k_bands):
     """encode plus first and second feature derivatives along z~ and x~."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = pts.shape[0]
-    d = 2 + 4 * k_bands
+    d = feature_dim(k_bands)
     f = encode(pts, k_bands)
     gz = np.zeros((n, d))
     gx = np.zeros((n, d))
@@ -139,10 +131,9 @@ class NeuralField:
     def __init__(self, weights, biases, k_bands):
         if len(weights) != len(biases) or not weights:
             raise ValueError("need matching, nonempty weight and bias lists")
-        self.encoding = EncodingConfig(k_bands)
-        if weights[0].shape[0] != self.encoding.feature_dim:
+        if weights[0].shape[0] != feature_dim(k_bands):
             raise ValueError(
-                f"first layer expects {self.encoding.feature_dim} features, "
+                f"first layer expects {feature_dim(k_bands)} features, "
                 f"got fan-in {weights[0].shape[0]}")
         if weights[-1].shape[1] != 2:
             raise ValueError("output layer must have 2 units (Re, Im)")
@@ -153,6 +144,7 @@ class NeuralField:
                 raise ValueError(f"layer {i}: fan-in does not chain")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i}: non-finite parameters")
+        self.k_bands = k_bands
         dims = [w.shape for w in weights]
         self._flat = np.empty(param_layout(dims)[0])
         _, self.weights, self.biases = param_layout(dims, self._flat)
@@ -169,7 +161,7 @@ class NeuralField:
         if width < 1 or n_hidden < 1:
             raise ValueError("width and n_hidden must be >= 1")
         rng = np.random.default_rng(seed)
-        dims = [EncodingConfig(k_bands).feature_dim] + [width] * n_hidden + [2]
+        dims = [feature_dim(k_bands)] + [width] * n_hidden + [2]
         weights, biases = [], []
         for i in range(len(dims) - 1):
             fan_in = dims[i]
@@ -181,10 +173,6 @@ class NeuralField:
     @property
     def n_hidden(self):
         return len(self.weights) - 1
-
-    @property
-    def k_bands(self):
-        return self.encoding.k_bands
 
     @property
     def layer_dims(self):
@@ -382,17 +370,17 @@ class NeuralField:
         return d_out[:, 0] + 1j * d_out[:, 1]
 
 
-def ntk_apply(field, points, vector, cap=NTK_POINT_CAP):
+def ntk_apply(field, points, vector):
     """Tangent-kernel action J (J^H v) under the real output pairing.
 
     One reverse pass pulls the complex field-space vector back to
     parameter space, one forward-tangent pass pushes it forward again.
-    Diagnostic only, hence the point cap.
+    Diagnostic only, hence the NTK_POINT_CAP on the point count.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[0] > cap:
+    if pts.shape[0] > NTK_POINT_CAP:
         raise ResourceLimitError(
-            f"ntk_apply refused: {pts.shape[0]} points exceeds cap {cap}")
+            f"ntk_apply refused: {pts.shape[0]} points exceeds cap {NTK_POINT_CAP}")
     pullback = field.param_gradient(pts, vector)
     return field.jvp(pts, pullback)
 
@@ -474,11 +462,10 @@ def load_checkpoint(path):
         fi, fo = struct.unpack_from("<II", blob, pos)
         dims.append((fi, fo))
         pos += 8
-    feature_dim = EncodingConfig(k_bands).feature_dim
-    if dims[0][0] != feature_dim:
+    if dims[0][0] != feature_dim(k_bands):
         raise FieldFormatError(
             f"checkpoint k_bands {k_bands} needs a first-layer fan-in of "
-            f"{feature_dim}, got {dims[0][0]}", byte_offset=head_size)
+            f"{feature_dim(k_bands)}, got {dims[0][0]}", byte_offset=head_size)
     n_params, _, _ = param_layout(dims)
     expected = pos + 8 * n_params
     if len(blob) != expected:

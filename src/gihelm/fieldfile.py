@@ -1,6 +1,6 @@
-"""Binary complex-field files.
+"""Binary complex-field files and CSV tables.
 
-Layout (all little-endian):
+Field file layout (all little-endian):
 
     magic   4 bytes  b"GIHF"
     version u16
@@ -12,10 +12,14 @@ Values are stored as float32; a field whose values are exactly
 representable in float32 round-trips bitwise (anything produced by
 ``read_field`` is). Malformed input raises FieldFormatError carrying
 the byte offset at which parsing failed.
+
+CSV tables (loss.csv, eval.csv, trace.csv, pool.csv) all go through
+write_rows_csv, whose float formatting keeps their bytes reproducible.
 """
 
 from __future__ import annotations
 
+import csv
 import struct
 
 import numpy as np
@@ -92,3 +96,12 @@ def read_field(path) -> ComplexField:
     values = pairs[..., 0] + 1j * pairs[..., 1]
     grid = Grid2D(nz=nz, nx=nx, dz=dz, dx=dx, z0=z0, x0=x0)
     return ComplexField(grid, values)
+
+
+def write_rows_csv(path, header, rows):
+    """RFC-4180 CSV (CRLF, header row); floats via repr for stable bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

@@ -95,6 +95,11 @@ class Medium:
             raise ValueError(f"v0 must be finite and positive, got {self.v0}")
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        with np.errstate(all="ignore"):
+            k2 = np.square(np.float64(self.omega)) / np.square(np.append(v, self.v0))
+        if not (np.isfinite(k2).all() and (k2 > 0).all()):
+            raise ValueError("omega^2/v^2 must be finite and nonzero in float64 "
+                             "for v0 and every velocity")
         object.__setattr__(self, "velocity", v)
         if self.interior is None:
             object.__setattr__(self, "interior", (slice(0, self.grid.nz), slice(0, self.grid.nx)))
@@ -116,10 +121,6 @@ class Medium:
     def k0(self):
         """Background wavenumber omega/v0."""
         return self.omega / self.v0
-
-    @property
-    def wavelength(self):
-        return 2.0 * np.pi * self.v0 / self.omega
 
     def interior_mask(self):
         mask = np.zeros(self.grid.shape, dtype=bool)
@@ -156,24 +157,13 @@ class ComplexField:
             raise ValueError("field values must all be finite")
         self.values = v
 
-    def copy(self):
-        return ComplexField(self.grid, self.values.copy())
 
-
-def normalize_coords(grid, omega, v0):
-    """Wavelength-normalized node coordinates, one array per axis.
+def normalize_points(points, omega, v0):
+    """Wavelength-normalize an (N, 2) array of (z, x) coordinates.
 
     x_tilde = omega*x/(2*pi*v0): one background wavelength maps to unit
     length, so the background phase advances by 2*pi per unit coordinate.
     """
-    if omega <= 0 or v0 <= 0:
-        raise ValueError("omega and v0 must be positive")
-    scale = omega / (2.0 * np.pi * v0)
-    return scale * grid.z_coords(), scale * grid.x_coords()
-
-
-def normalize_points(points, omega, v0):
-    """Wavelength-normalize an (N, 2) array of (z, x) coordinates."""
     if omega <= 0 or v0 <= 0:
         raise ValueError("omega and v0 must be positive")
     return np.asarray(points, dtype=np.float64) * (omega / (2.0 * np.pi * v0))
@@ -254,15 +244,18 @@ def gaussian_lens_medium(grid, v0, omega, contrast, sigma, center=None):
 
 def layered_medium(grid, v0, omega, interfaces, velocities):
     """Horizontal layers: velocities[i] between interfaces[i-1] and interfaces[i]."""
-    interfaces = list(interfaces)
-    velocities = list(velocities)
-    if len(velocities) != len(interfaces) + 1:
-        raise ValueError("need one more velocity than interfaces")
-    if sorted(interfaces) != interfaces:
+    interfaces = np.asarray(interfaces, dtype=np.float64)
+    velocities = np.asarray(velocities, dtype=np.float64)
+    if interfaces.ndim != 1 or velocities.shape != (interfaces.size + 1,):
+        raise ValueError("need a list of interfaces and one more velocity than interfaces")
+    if not np.isfinite(interfaces).all():
+        raise ValueError(f"interfaces must be finite depths, got {interfaces.tolist()}")
+    if not (np.isfinite(velocities).all() and (velocities > 0).all()):
+        raise ValueError(f"velocities must be finite and > 0, got {velocities.tolist()}")
+    if (np.diff(interfaces) < 0).any():
         raise ValueError("interface depths must be increasing")
-    z = grid.z_coords()
-    idx = np.searchsorted(interfaces, z, side="right")
-    profile = np.asarray(velocities, dtype=np.float64)[idx]
+    idx = np.searchsorted(interfaces, grid.z_coords(), side="right")
+    profile = velocities[idx]
     return Medium(grid, np.repeat(profile[:, None], grid.nx, axis=1), v0, omega)
 
 

@@ -13,10 +13,11 @@ or the average of G0 over the disk of area W = dz*dx centred on the node
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import SingularEvaluationError
 from .grid import ComplexField, Grid2D
-from .special import bessel_j0_y0, hankel_h0_second  # noqa: F401  (re-export)
+from .special import bessel_j0_y0
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -70,21 +71,6 @@ def equivalent_disk_radius(grid):
     return np.sqrt(grid.w / np.pi)
 
 
-def _is_5smooth(n):
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
-def next_5smooth(n):
-    """Smallest integer >= n with no prime factors other than 2, 3, 5."""
-    m = int(n)
-    while not _is_5smooth(m):
-        m += 1
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class GreensKernel:
     """Padded convolution table of G0 for one physical grid.
@@ -131,8 +117,9 @@ def build_kernel(physical_grid, k0, mode="cell_averaged"):
     if not np.isfinite(k0) or k0 <= 0:
         raise ValueError(f"k0 must be positive and finite, got {k0}")
     g = physical_grid
-    pz = next_5smooth(2 * g.nz)
-    px = next_5smooth(2 * g.nx)
+    # smallest 2-3-5-smooth length at least twice the grid per axis
+    pz = scipy.fft.next_fast_len(2 * g.nz, real=True)
+    px = scipy.fft.next_fast_len(2 * g.nx, real=True)
     kernel_grid = Grid2D(pz, px, g.dz, g.dx, 0.0, 0.0)
 
     off_z = _wrapped_offsets(pz) * g.dz

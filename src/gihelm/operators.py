@@ -54,19 +54,18 @@ def convolve_adjoint(kernel, values):
     return np.fft.ifft2(np.conj(kernel.spectrum) * spec)[:nz, :nx]
 
 
-def gi_reconstruct_dense(medium, kernel, u0, us, cap=DENSE_CAP):
+def gi_reconstruct_dense(medium, kernel, u0, us):
     """Us_hat by direct summation over scatterer points (oracle path).
 
     Recomputes G0 from pairwise node distances instead of reading the
     kernel table, so it shares no convolution machinery with the FFT
     path; the self interaction uses the kernel's self-term mode.  Work
-    is O(N^2), blocked over rows; grids beyond cap are refused.
+    is O(N^2), blocked over rows; grids beyond DENSE_CAP points are refused.
     """
     _require_same_grid(kernel, medium, u0, us)
     g = medium.grid
-    if g.n > cap:
-        raise ResourceLimitError(
-            f"dense path refused: {g.n} points exceeds cap {cap}")
+    if g.n > DENSE_CAP:
+        raise ResourceLimitError(f"dense path refused: {g.n} points exceeds cap {DENSE_CAP}")
     d = (scattering_weights(medium) * (u0.values + us.values)).ravel()
     coords = g.node_coords()
     diag = self_term(equivalent_disk_radius(g), kernel.k0, kernel.self_term_mode)
@@ -108,12 +107,12 @@ class LinearSystemView:
     def apply_AH(self, y):
         return self.m_values * convolve_adjoint(self.kernel, y)
 
-    def assemble_dense(self, cap=DENSE_CAP):
+    def assemble_dense(self):
         """Explicit A as an (N, N) matrix, via kernel-table lookups."""
         g = self.grid
-        if g.n > cap:
+        if g.n > DENSE_CAP:
             raise ResourceLimitError(
-                f"dense assembly refused: {g.n} points exceeds cap {cap}")
+                f"dense assembly refused: {g.n} points exceeds cap {DENSE_CAP}")
         pz, px = self.kernel.padded_shape
         iz, ix = np.divmod(np.arange(g.n), g.nx)
         m_flat = self.m_values.ravel()

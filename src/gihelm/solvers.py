@@ -6,7 +6,6 @@ surface) and work on bare complex arrays internally so that divergence
 shows up as a recorded status instead of a finiteness-guard exception.
 """
 
-import csv
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -15,8 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularSystemError
+from .fieldfile import write_rows_csv
 from .grid import ComplexField
-from .operators import DENSE_CAP
 
 DIVERGENCE_FACTOR = 1e6
 DIVERGENCE_HYSTERESIS = 10  # consecutive steps above the threshold
@@ -35,26 +34,18 @@ class IterationTrace:
         self.steps.append((int(step), float(residual_norm), float(elapsed_ms)))
 
     @property
-    def residual_norms(self):
-        return np.array([s[1] for s in self.steps])
-
-    @property
     def final_norm(self):
         return self.steps[-1][1] if self.steps else float("nan")
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "residual_norm", "elapsed_ms"])
-            for step, norm, ms in self.steps:
-                writer.writerow([step, repr(norm), repr(ms)])
+        write_rows_csv(path, ["step", "residual_norm", "elapsed_ms"], self.steps)
 
 
 def _norm(values):
     return float(np.linalg.norm(values.ravel()))
 
 
-def solve_direct(view, cap=DENSE_CAP):
+def solve_direct(view):
     """Dense LU solve of (I - A) us = b with a residual postcondition.
 
     Raises SingularSystemError when an LU pivot falls below 1e-14; one
@@ -65,7 +56,7 @@ def solve_direct(view, cap=DENSE_CAP):
     if norm_b == 0.0:
         return ComplexField(view.grid, np.zeros_like(b))
 
-    system = view.assemble_dense(cap=cap)
+    system = view.assemble_dense()
     np.negative(system, out=system)
     idx = np.arange(system.shape[0])
     system[idx, idx] += 1.0
@@ -203,34 +194,3 @@ def estimate_rho(view, iters=300, seed=0):
             return 0.0
         v = w / norm_w
     return float(abs(np.vdot(v.ravel(), view.apply_A(v).ravel())))
-
-
-def bisect_to_rho(make_view, target_rho, lo=0.0, hi=0.5, band=0.05,
-                  rho_iters=300, max_steps=60, seed=0):
-    """Find a parameter value whose system has estimate_rho near target_rho.
-
-    make_view(value) must build the linear-system view for that value,
-    with rho monotone nondecreasing in the value (true when the value
-    scales the perturbation strength).  Returns (value, rho) with rho in
-    [target_rho, (1 + band) target_rho].
-    """
-    rho_hi = estimate_rho(make_view(hi), iters=rho_iters, seed=seed)
-    grow = 0
-    while rho_hi < target_rho:
-        lo, hi = hi, 2.0 * hi
-        rho_hi = estimate_rho(make_view(hi), iters=rho_iters, seed=seed)
-        grow += 1
-        if grow > 20:
-            raise ValueError("could not bracket target rho; perturbation too weak")
-
-    value, rho = hi, rho_hi
-    for _ in range(max_steps):
-        if target_rho <= rho <= (1.0 + band) * target_rho:
-            break
-        mid = 0.5 * (lo + hi)
-        rho_mid = estimate_rho(make_view(mid), iters=rho_iters, seed=seed)
-        if rho_mid >= target_rho:
-            hi, value, rho = mid, mid, rho_mid
-        else:
-            lo = mid
-    return value, rho

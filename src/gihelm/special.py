@@ -1,7 +1,7 @@
 """Bessel J0/Y0 and the second-kind Hankel function H0^(2).
 
 Everything downstream (Green's function, kernel tables, background field)
-funnels through :func:`hankel_h0_second`, so this module owns its accuracy
+funnels through :func:`bessel_j0_y0`, so this module owns its accuracy
 budget: >= 10 significant digits of the complex value over x in (1e-8, 1e4),
 checked against the arbitrary-precision table frozen by
 ``tools/gen_bessel_reference.py``.  The values come from ``scipy.special``'s

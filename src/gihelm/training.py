@@ -9,7 +9,6 @@ coordinates; it vanishes on us = -u0 away from the source, which is why
 it is only ever used as a weighted companion term.
 """
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field as dc_field, fields
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import NonFiniteLossError
 from .field import AdamState, NeuralField, adam_step, lr_at, save_checkpoint, encode
+from .fieldfile import write_rows_csv
 from .grid import ComplexField, normalize_points
 from .kernel import background_field
 from .operators import convolve, convolve_adjoint, scattering_weights
@@ -204,12 +204,23 @@ def lambda_at(epoch, config):
     """Sigmoid ramp lambda_max * sigma(s (t/T - t_mid)) of the PDE weight."""
     t = epoch / config.epochs
     arg = config.lambda_steepness * (t - config.lambda_mid)
-    return config.lambda_max / (1.0 + math.exp(-arg))
+    try:
+        return config.lambda_max / (1.0 + math.exp(-arg))
+    except OverflowError:  # exp(-arg) beyond float range: the sigmoid is 0
+        return 0.0
 
 
 # -- training loop -----------------------------------------------------------
 
 MODES = ("gi", "hybrid", "pde_only")
+
+# (rule, check, fields): the range of every bounded TrainConfig field
+_TRAIN_BOUNDS = (
+    (">= 1", lambda v: v >= 1, ("epochs", "width", "k_bands", "n_hidden", "n_x", "eval_every")),
+    (">= 0", lambda v: v >= 0, ("seed", "lambda_max", "alpha", "eps_fraction")),
+    ("> 0", lambda v: v > 0, ("adam_eps", "lr_decay_ratio")),
+    ("in [0, 1)", lambda v: 0 <= v < 1, ("adam_beta1", "adam_beta2")),
+)
 
 
 @dataclass
@@ -240,25 +251,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("epochs", "width", "k_bands", "n_hidden", "n_x"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.lambda_max < 0:
-            raise ValueError("lambda_max must be >= 0")
+        for rule, check, names in _TRAIN_BOUNDS:
+            for name in names:
+                if not check(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         if not self.n_x <= self.n_pool <= self.n_raw:
             raise ValueError("need n_x <= n_pool <= n_raw")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass
 class EvalReport:
     nmse: float
-    mae: float
     wall_time_s: float
     epochs_run: int
     status: str
@@ -268,15 +275,6 @@ class EvalReport:
 
 LOSS_HEADER = ["epoch", "total_loss", "gi_loss", "pde_loss", "lambda", "lr"]
 EVAL_HEADER = ["epoch", "nmse"]
-
-
-def write_rows_csv(path, header, rows):
-    """RFC-4180 CSV (CRLF, header row); floats via repr for stable bytes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def _predict_grid(field, grid_features, shape):
@@ -355,6 +353,8 @@ def train(config, medium, kernel, source, reference=None, workdir=None):
 
         lr = lr_at(t, config.epochs, config.lr0, config.lr_decay_ratio)
         theta = adam_step(state, theta, grad, lr)
+        if not np.isfinite(theta).all():
+            _abort_non_finite(net, workdir, f"parameters became non-finite at epoch {t}")
         net.set_flat(theta)
         epochs_run = t + 1
         loss_rows.append((t,
@@ -374,15 +374,14 @@ def train(config, medium, kernel, source, reference=None, workdir=None):
                 break
 
     wall = time.perf_counter() - t0
-    final_nmse, final_mae = float("nan"), float("nan")
-    pred = _predict_grid(net, feats, medium.grid.shape)
+    final_nmse = float("nan")
     if reference is not None:
+        pred = _predict_grid(net, feats, medium.grid.shape)
         final_nmse = nmse(pred[mask], reference.values[mask])
-        final_mae = float(np.mean(np.abs(pred[mask] - reference.values[mask])))
         if not eval_rows or eval_rows[-1][0] != epochs_run:
             eval_rows.append((epochs_run, final_nmse))
 
-    report = EvalReport(nmse=final_nmse, mae=final_mae, wall_time_s=wall,
+    report = EvalReport(nmse=final_nmse, wall_time_s=wall,
                         epochs_run=epochs_run, status=status,
                         loss_rows=loss_rows, eval_rows=eval_rows)
     if workdir is not None:

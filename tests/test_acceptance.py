@@ -38,7 +38,6 @@ from gihelm import (
 from gihelm.grid import normalize_points
 from gihelm.operators import convolve, convolve_adjoint, gi_reconstruct_dense
 from gihelm.solvers import (
-    bisect_to_rho,
     born_iterate,
     estimate_rho,
     estimate_sigma_max,
@@ -46,7 +45,13 @@ from gihelm.solvers import (
 )
 from gihelm.training import _bilinear, grid_encoding, weighted_sample_without_replacement
 
-from util import FixedGridField, make_lens, random_field_values, random_medium
+from util import (
+    FixedGridField,
+    bisect_to_rho,
+    make_lens,
+    random_field_values,
+    random_medium,
+)
 
 
 def sha256(path):

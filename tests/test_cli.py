@@ -267,6 +267,58 @@ class TestConfigErrors:
         assert key in res.stderr
         assert not (out / "solution.gihf").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("medium.interfaces", [float("nan")]),
+        ("medium.interfaces", ["a"]),
+        ("medium.velocities", [1.0, float("inf")]),
+        ("medium.velocities", [1.0, True]),
+        ("velocities", [1.0, -2.0]),
+    ])
+    def test_layered_values_name_the_key(self, tmp_path, key, value):
+        cfg = lens_config(-0.10, solve={"method": "born"})
+        cfg["medium"] = {"kind": "layered", "v0": 1.0, "interfaces": [0.8],
+                         "velocities": [1.0, 1.2], key.split(".")[-1]: value}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        res = run_cli("solve", "--config", path, "--out-dir", out)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert key in res.stderr
+        assert not (out / "solution.gihf").exists()
+
+    @pytest.mark.parametrize("command,key,section,args", [
+        ("solve", "solve.seed",
+         {"solve": {"method": "landweber", "seed": -1}}, ()),
+        ("train", "seed", {"train": {**TINY_TRAIN, "seed": -2}}, ()),
+        ("train", "--seed-override", {"train": TINY_TRAIN}, ("--seed-override", -1)),
+        ("pool-dump", "--seed-override", {"train": TINY_TRAIN}, ("--seed-override", -1)),
+    ], ids=["solve.seed", "train.seed", "train-override", "pool-dump-override"])
+    def test_negative_seed_names_the_key(self, tmp_path, command, key, section, args):
+        path = write_config(tmp_path, {**lens_config(-0.10), **section})
+        res = run_cli(command, "--config", path, "--out-dir", tmp_path / "out", *args)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert any("error:" in line and key in line for line in res.stderr.splitlines())
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,key", [
+        ("solve", "frequency_hz"), ("solve", "grid.dz"), ("solve", "medium.contrast"),
+        ("solve", "medium.center"), ("solve", "source.amplitude"), ("solve", "solve.eta"),
+        ("solve", "solve.tol"), ("pool-dump", "train.lr0"),
+        ("pool-dump", "train.pde_residual_scale"),
+    ])
+    def test_integer_beyond_float_range_names_the_key(self, tmp_path, capsys, command, key):
+        # JSON integers have no size limit; float() of this one overflows
+        cfg = lens_config(-0.10, solve={"method": "landweber"}, train={**TINY_TRAIN})
+        section, _, name = key.rpartition(".")
+        huge = 10**400
+        (cfg[section] if section else cfg)[name] = [huge, 0.5] if name == "center" else huge
+        path = write_config(tmp_path, cfg)
+        code = cli.main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and key in err
+
     @pytest.mark.parametrize("key", ["dz", "dx"])
     def test_nan_grid_spacing_names_the_spacing(self, tmp_path, key):
         cfg = lens_config(-0.10, solve={"method": "born"})

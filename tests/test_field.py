@@ -11,12 +11,13 @@ from gihelm import (
     ResourceLimitError,
     adam_step,
     encode,
+    feature_dim,
     load_checkpoint,
     lr_at,
     ntk_apply,
     save_checkpoint,
 )
-from gihelm.field import AdamState, EncodingConfig, encode_with_derivs
+from gihelm.field import AdamState, encode_with_derivs
 
 
 def small_net(seed=0, width=12, k_bands=2, n_hidden=3):
@@ -30,9 +31,15 @@ def rand_points(rng, n):
 
 class TestEncoding:
     def test_feature_dim(self):
-        assert EncodingConfig(k_bands=3).feature_dim == 14
-        with pytest.raises(ValueError):
-            EncodingConfig(k_bands=0)
+        assert [feature_dim(k) for k in (1, 2, 3)] == [6, 10, 14]
+        for k in (1, 3):
+            assert encode(np.zeros((1, 2)), k).shape == (1, feature_dim(k))
+            assert NeuralField.init(0, width=4, k_bands=k).layer_dims[0][0] == feature_dim(k)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k_bands"):
+                feature_dim(k)
+            with pytest.raises(ValueError, match="k_bands"):
+                encode(np.zeros((1, 2)), k)
 
     def test_feature_layout(self):
         z, x = 0.3, 0.7

@@ -15,7 +15,6 @@ from gihelm import (
     gaussian_lens_medium,
     homogeneous_medium,
     layered_medium,
-    normalize_coords,
     normalize_points,
     read_velocity_model,
     taper_perturbation,
@@ -68,7 +67,6 @@ def test_medium_slowness_identities():
     np.testing.assert_array_equal(med.delta_m, np.zeros((4, 4)))
     assert med.m0 == pytest.approx(0.25)
     assert med.k0 == pytest.approx(3.0)
-    assert med.wavelength == pytest.approx(2.0 * np.pi / 3.0)
 
 
 def test_medium_rejects_nonpositive_velocity():
@@ -117,14 +115,26 @@ def test_layered_medium_profile():
         layered_medium(g, 1.5, 1.0, interfaces=[0.1], velocities=[1.0])
 
 
-def test_normalize_coords_is_wavelength_units():
+@pytest.mark.parametrize("interfaces,velocities,key", [
+    ([np.nan], [1.0, 2.0], "interfaces"),
+    ([np.inf], [1.0, 2.0], "interfaces"),
+    ([0.25], [1.0, np.nan], "velocities"),
+    ([0.25], [1.0, 0.0], "velocities"),
+    ([0.25], [-1.0, 2.0], "velocities"),
+])
+def test_layered_medium_rejects_bad_values(interfaces, velocities, key):
+    # a NaN depth passes a sortedness check, so finiteness is checked on its own
+    g = Grid2D(nz=6, nx=3, dz=0.1, dx=0.1)
+    with pytest.raises(ValueError, match=key):
+        layered_medium(g, 1.5, 2 * np.pi, interfaces=interfaces, velocities=velocities)
+
+
+def test_normalize_points_is_wavelength_units():
     # scale = omega/(2 pi v0) = 1/wavelength: one wavelength -> one unit
-    g = Grid2D(nz=3, nx=3, dz=0.5, dx=0.5, z0=1.0, x0=0.0)
-    z, x = normalize_coords(g, omega=4.0 * np.pi, v0=2.0)
-    np.testing.assert_allclose(z, [1.0, 1.5, 2.0])
-    np.testing.assert_allclose(x, [0.0, 0.5, 1.0])
-    pts = normalize_points(np.array([[1.0, 0.5]]), omega=4.0 * np.pi, v0=2.0)
-    np.testing.assert_allclose(pts, [[1.0, 0.5]])
+    pts = normalize_points(np.array([[1.0, 0.5], [4.0, -2.0]]), omega=4.0 * np.pi, v0=2.0)
+    np.testing.assert_allclose(pts, [[1.0, 0.5], [4.0, -2.0]])
+    pts = normalize_points(np.array([[1.0, 0.5]]), omega=2.0 * np.pi, v0=2.0)
+    np.testing.assert_allclose(pts, [[0.5, 0.25]])
 
 
 def test_complex_field_validation():
@@ -135,10 +145,6 @@ def test_complex_field_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         ComplexField(g, bad)
-    f = ComplexField(g, np.ones((2, 2), dtype=complex))
-    g2 = f.copy()
-    g2.values[0, 0] = 5.0
-    assert f.values[0, 0] == 1.0
 
 
 def test_source_spec_defaults():

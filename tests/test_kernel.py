@@ -11,7 +11,6 @@ from gihelm import (
     build_kernel,
     green0,
     homogeneous_medium,
-    next_5smooth,
     self_term,
 )
 from gihelm.kernel import EULER_GAMMA, equivalent_disk_radius
@@ -53,17 +52,11 @@ def test_equivalent_disk_radius_preserves_cell_area():
     assert np.pi * R**2 == pytest.approx(g.w)
 
 
-def test_next_5smooth():
-    for n, want in [(1, 1), (2, 2), (7, 8), (11, 12), (13, 15), (31, 32), (97, 100)]:
-        assert next_5smooth(n) == want
-    # result has no prime factor beyond 5
-    for n in range(1, 400):
-        m = next_5smooth(n)
-        assert m >= n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        assert m == 1
+def _is_5smooth(m):
+    for f in (2, 3, 5):
+        while m % f == 0:
+            m //= f
+    return m == 1
 
 
 class TestBuildKernel:
@@ -72,10 +65,15 @@ class TestBuildKernel:
         return g, build_kernel(g, k0, mode=mode)
 
     def test_padding_is_5smooth_and_at_least_double(self):
-        g, ker = self._kernel()
-        pz, px = ker.padded_shape
-        assert pz >= 2 * g.nz and px >= 2 * g.nx
-        assert pz == next_5smooth(2 * g.nz) and px == next_5smooth(2 * g.nx)
+        # the smallest 2-3-5-smooth length >= 2n per axis
+        for nz, nx in [(9, 12), (7, 11), (13, 64), (33, 50)]:
+            _, ker = self._kernel(nz, nx)
+            for n, p in zip((nz, nx), ker.padded_shape):
+                assert p >= 2 * n and _is_5smooth(p)
+                assert not any(_is_5smooth(m) for m in range(2 * n, p))
+        # doubled 7, 11, 13 and 64 pad to 15, 24, 27 and 128
+        for n, want in [(7, 15), (11, 24), (13, 27), (64, 128)]:
+            assert self._kernel(n, n)[1].padded_shape == (want, want)
 
     def test_zero_offset_entry_is_the_self_term(self):
         _, ker = self._kernel()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gihelm.operators
 from gihelm import (
     ComplexField,
     Grid2D,
@@ -76,11 +77,12 @@ def test_dense_route_recomputes_green0_independently():
     np.testing.assert_array_equal(slow0.values, slow1.values)
 
 
-def test_dense_cap_enforced():
+def test_dense_cap_enforced(monkeypatch):
+    monkeypatch.setattr(gihelm.operators, "DENSE_CAP", 63)
     med, ker, _, u0 = make_lens(8, 8)
     us = ComplexField(med.grid, np.zeros(med.grid.shape, complex))
     with pytest.raises(ResourceLimitError):
-        gi_reconstruct_dense(med, ker, u0, us, cap=63)
+        gi_reconstruct_dense(med, ker, u0, us)
 
 
 def test_convolve_adjoint_inner_product_identity():
@@ -125,10 +127,11 @@ def test_assemble_dense_matches_operator_application():
         )
 
 
-def test_assemble_dense_cap():
+def test_assemble_dense_cap(monkeypatch):
+    monkeypatch.setattr(gihelm.operators, "DENSE_CAP", 71)
     view = make_view(8, 9)
     with pytest.raises(ResourceLimitError):
-        view.assemble_dense(cap=10)
+        view.assemble_dense()
 
 
 def test_apply_A_translation_structure():

@@ -30,8 +30,8 @@ from gihelm.training import (
     grid_encoding,
     selection_weights,
     weighted_sample_without_replacement,
-    write_rows_csv,
 )
+from gihelm.fieldfile import write_rows_csv
 
 from util import FixedGridField, make_lens, random_field_values
 
@@ -327,6 +327,11 @@ class TestLambdaSchedule:
         vals = [lambda_at(t, cfg) for t in range(0, 201, 10)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_far_before_the_ramp_is_zero(self):
+        # exp(-arg) overflows a float here
+        cfg = tiny_config(mode="hybrid", epochs=10, lambda_mid=36.0, lambda_steepness=20.0)
+        assert lambda_at(0, cfg) == 0.0
+
 
 class TestTrainConfig:
     def test_validation(self):
@@ -344,7 +349,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("key,value", [
         ("width", 0), ("k_bands", 0), ("n_hidden", 0), ("n_x", 0),
         ("lr0", float("nan")), ("lambda_max", float("nan")),
-        ("alpha", float("inf")),
+        ("alpha", float("inf")), ("seed", -1), ("eval_every", 0), ("alpha", -1.0),
+        ("eps_fraction", -0.1), ("adam_beta1", 1.0), ("adam_beta2", -0.5),
+        ("adam_eps", 0.0), ("lr_decay_ratio", -2.0),
     ])
     def test_rejects_bad_numbers(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -436,6 +443,15 @@ class TestTrainLoop:
             train(tiny_config(epochs=5), medium, kernel, source, workdir=tmp_path)
         saved = load_checkpoint(err.value.checkpoint_path)
         np.testing.assert_array_equal(saved.get_flat(), calls[-1])
+
+    def test_nonfinite_parameters_abort_with_checkpoint(self, tmp_path):
+        # the first Adam step overflows the parameters while loss and gradient
+        # are still finite
+        medium, kernel, source, _ = self._problem()
+        with pytest.raises(NonFiniteLossError, match="parameters") as err:
+            train(tiny_config(mode="pde_only", epochs=3, lr0=1.7e308), medium, kernel,
+                  source, workdir=tmp_path)
+        assert load_checkpoint(err.value.checkpoint_path).n_params > 0
 
     def test_workdir_csvs(self, tmp_path):
         medium, kernel, source, u0 = self._problem()

@@ -7,6 +7,7 @@ from gihelm import (
     SourceSpec,
     background_field,
     build_kernel,
+    estimate_rho,
     gaussian_lens_medium,
     homogeneous_medium,
     linear_system_view,
@@ -67,3 +68,34 @@ class FixedGridField:
 
 def rel_l2(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def bisect_to_rho(make_view, target_rho, lo=0.0, hi=0.5, band=0.05,
+                  rho_iters=300, max_steps=60, seed=0):
+    """Find a parameter value whose system has estimate_rho near target_rho.
+
+    make_view(value) must build the linear-system view for that value,
+    with rho monotone nondecreasing in the value (true when the value
+    scales the perturbation strength).  Returns (value, rho) with rho in
+    [target_rho, (1 + band) target_rho].
+    """
+    rho_hi = estimate_rho(make_view(hi), iters=rho_iters, seed=seed)
+    grow = 0
+    while rho_hi < target_rho:
+        lo, hi = hi, 2.0 * hi
+        rho_hi = estimate_rho(make_view(hi), iters=rho_iters, seed=seed)
+        grow += 1
+        if grow > 20:
+            raise ValueError("could not bracket target rho; perturbation too weak")
+
+    value, rho = hi, rho_hi
+    for _ in range(max_steps):
+        if target_rho <= rho <= (1.0 + band) * target_rho:
+            break
+        mid = 0.5 * (lo + hi)
+        rho_mid = estimate_rho(make_view(mid), iters=rho_iters, seed=seed)
+        if rho_mid >= target_rho:
+            hi, value, rho = mid, mid, rho_mid
+        else:
+            lo = mid
+    return value, rho
